@@ -944,10 +944,8 @@ def _static_match(ctx, t: RuleTemplate, rpath: Path, mol: Molecule,
         return []
     node = mol.node_at(mpath)
     if node is None:
-        out = [t.kappa_is(rpath, K_ABSENT)]
-        if ctx.variants.hard_ends:
-            pass  # an absent molecule slot satisfies any hard end
-        return out
+        # an absent molecule slot satisfies any hard end
+        return [t.kappa_is(rpath, K_ABSENT)]
     out = [
         implies(
             not_(t.kappa_is(rpath, K_ABSENT)),

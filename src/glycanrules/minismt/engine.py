@@ -15,11 +15,19 @@ termination).
 Integer variables named in a `(set-info :order-cluster (...))` hint are
 lowered as a strict weak order via pairwise precedence Booleans instead of
 order bits; only var<var, var<=var and positive var=lo atoms may touch them.
-get-value reports rank-realized integers consistent with every comparison.
+Only asymmetry is asserted up front.  Transitivity and the weak-order axiom
+are added lazily: each SAT model is checked in O(n^2) per cluster against the
+ranks (a member's rank is its number of predecessors), every mismatched pair
+names one triple the model breaks, that triple's axioms are added, and the
+search resumes from the part of the model they leave standing.  Once no pair
+mismatches, the precedences are exactly "rank(x) < rank(y)", so get-value
+reports rank-realized integers consistent with every comparison, and
+universals are checked against those values.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 
 from .sat import Solver, neg
@@ -69,7 +77,6 @@ class Engine:
         self.scopes = [Scope(None)]
         self.model_vals: list | None = None
         self.is_sub = is_sub
-        self.mbqi_rounds = 0
 
     # ------------- declarations -------------
 
@@ -95,6 +102,12 @@ class Engine:
             raise SolverError(f"unsupported sort {sort!r}")
 
     def declare_cluster(self, names):
+        """Make precedence Booleans p(x,y) meaning x < y over `names`.
+
+        Only the asymmetry clauses, one per unordered pair, are added here;
+        `_refine_clusters` adds the transitivity and weak-order axioms of a
+        triple once a model breaks it.
+        """
         cid = len(self.clusters)
         group = []
         for nm in names:
@@ -113,32 +126,68 @@ class Engine:
         if hi - lo + 1 < len(group):
             raise SolverError("cluster range narrower than the chain length")
         self.clusters.append(group)
-        # strict-weak-order axioms over all pairs
-        pv = {}
         for x in group:
             for y in group:
                 if x != y:
-                    pv[(x, y)] = self.sat.new_var()
-        self.p_vars.update(pv)
-        for x in group:
+                    self.p_vars[(x, y)] = self.sat.new_var()
+        for i, x in enumerate(group):
+            for y in group[i + 1:]:
+                # asymmetry: ¬p(x,y) ∨ ¬p(y,x)
+                self.sat.add_clause(
+                    [neg(2 * self.p_vars[(x, y)]), neg(2 * self.p_vars[(y, x)])]
+                )
+
+    def _refine_clusters(self, snapshot) -> bool:
+        """Add the order axioms of every triple the model breaks.
+
+        The model is a strict weak order exactly when p(x,y) holds iff
+        rank(x) < rank(y), rank being the number of predecessors.  A pair
+        with p(x,y) but rank(x) >= rank(y) has some z before x and not before
+        y (transitivity broken); an incomparable pair with rank(x) < rank(y)
+        has some z before y and not before x (negative transitivity broken).
+        Returns True if clauses were added; the search must then resume.
+        """
+        pv = self.p_vars
+        triples = set()
+        for cid, group in enumerate(self.clusters):
+            n = len(group)
+            pred = []  # bitmask over group indices of each member's predecessors
             for y in group:
-                if x == y:
-                    continue
-                pxy = 2 * pv[(x, y)]
-                for z in group:
-                    if z == x or z == y:
-                        # z == x gives asymmetry: ¬p(x,y) ∨ ¬p(y,x)
-                        if z == x:
-                            self.sat.add_clause([neg(pxy), neg(2 * pv[(y, x)])])
+                mask = 0
+                for i, z in enumerate(group):
+                    if z != y and snapshot[2 * pv[(z, y)]] == 1:
+                        mask |= 1 << i
+                pred.append(mask)
+            rank = [m.bit_count() for m in pred]
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
                         continue
-                    # transitivity: p(x,y) ∧ p(y,z) → p(x,z)
-                    self.sat.add_clause(
-                        [neg(pxy), neg(2 * pv[(y, z)]), 2 * pv[(x, z)]]
-                    )
-                    # weak order: p(x,z) → p(x,y) ∨ p(y,z)
-                    self.sat.add_clause(
-                        [neg(2 * pv[(x, z)]), pxy, 2 * pv[(y, z)]]
-                    )
+                    before = bool(pred[j] >> i & 1)
+                    if before == (rank[i] < rank[j]):
+                        continue
+                    if before:
+                        extra = pred[i] & ~pred[j]
+                    elif pred[i] >> j & 1:
+                        continue  # the reversed pair is mismatched as well
+                    else:
+                        extra = pred[j] & ~pred[i]
+                    k = (extra & -extra).bit_length() - 1
+                    triples.add((cid, *sorted((i, j, k))))
+        if not triples:
+            return False
+        clauses = []
+        # sorted, so the clause order does not depend on the hash seed
+        for cid, *idx in sorted(triples):
+            group = self.clusters[cid]
+            for x, y, z in itertools.permutations([group[i] for i in idx]):
+                pxy, pyz, pxz = 2 * pv[(x, y)], 2 * pv[(y, z)], 2 * pv[(x, z)]
+                # transitivity: p(x,y) ∧ p(y,z) → p(x,z)
+                clauses.append([neg(pxy), neg(pyz), pxz])
+                # weak order: p(x,z) → p(x,y) ∨ p(y,z)
+                clauses.append([neg(pxz), pxy, pyz])
+        self.sat.add_model_clauses(clauses)
+        return True
 
     # ------------- variable encodings -------------
 
@@ -568,13 +617,19 @@ class Engine:
             deadline = time.monotonic() + timeout_ms / 1000.0
         self.model_vals = None
         rounds = 0
+        resume = False
         while True:
-            res = self.sat.solve(self._selector_assumptions(), deadline=deadline)
+            res = self.sat.solve(
+                self._selector_assumptions(), deadline=deadline, resume=resume
+            )
             if res is False:
                 return "unsat"
             if res is None:
                 return "unknown"
             snapshot = list(self.sat.litval)
+            resume = self._refine_clusters(snapshot)
+            if resume:
+                continue
             violated = False
             for uni in self._active_universals():
                 wit = self._find_violation(uni, snapshot, deadline)

@@ -1,11 +1,12 @@
 """Deterministic CDCL SAT solver with assumptions and incremental clauses.
 
 Literals are ints: variable v (0-based) gives 2*v for the positive literal and
-2*v+1 for the negative one.  Clauses may only be added at decision level 0;
-`solve` accepts assumption literals that are decided first, so scoped
-assertions can be switched with selector variables.  All heuristics
-(activity ordering, phase saving, Luby restarts) break ties by variable
-index, so runs are reproducible.
+2*v+1 for the negative one.  `add_clause` backtracks to decision level 0;
+`add_model_clauses` keeps the part of a model's trail its clauses allow, for
+`solve(resume=True)` to search on from.  `solve` accepts assumption literals
+that are decided first, so scoped assertions can be switched with selector
+variables.  All heuristics (activity ordering, phase saving, Luby restarts)
+break ties by variable index, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -160,6 +161,44 @@ class Solver:
         self.watches[out[1]].append(ci)
         return True
 
+    def add_model_clauses(self, clauses):
+        """Add clauses over the variables of the model `solve` just found.
+
+        Each clause has two or more literals over distinct variables.  Only
+        the decision levels the clauses need are undone: back to just below
+        the highest level of each clause the model falsifies.  A clause left
+        with one unassigned literal propagates it.  `solve` with `resume=True`
+        and the same assumptions then searches on from the kept trail instead
+        of from level 0.
+        """
+        litval, level = self.litval, self.level
+        target = len(self.trail_lim)
+        for lits in clauses:
+            if all(litval[lit] == -1 for lit in lits):
+                target = min(target, max(level[var_of(lit)] for lit in lits) - 1)
+        if target < 0:
+            self.ok = False  # falsified at level 0
+            return
+        self._cancel_until(target)
+        # every clause now has a literal that is not false; watch it and the
+        # next best, before any unit is enqueued
+        units = []
+        for lits in clauses:
+            # non-false literals first, then false ones from the highest level
+            out = sorted(
+                lits, key=lambda lit: (litval[lit] == -1, -level[var_of(lit)])
+            )
+            ci = len(self.clauses)
+            self.clauses.append(out)
+            self.watches[out[0]].append(ci)
+            self.watches[out[1]].append(ci)
+            if litval[out[1]] == -1 and litval[out[0]] == 0:
+                units.append(ci)
+        # a unit made false by an earlier one is a conflict that `propagate`
+        # finds, since the earlier literal waits in the queue
+        for ci in units:
+            self._enqueue(self.clauses[ci][0], ci)
+
     def _add_learned(self, lits) -> int:
         ci = len(self.clauses)
         self.clauses.append(lits)
@@ -233,10 +272,7 @@ class Solver:
                 self.reason[v] = ci
                 self.phase[v] = not (first & 1)
                 self.trail.append(first)
-            if len(kept) != n:
-                self.watches[falsified] = kept
-            else:
-                self.watches[falsified] = kept
+            self.watches[falsified] = kept
             if conflict != -1:
                 return conflict
         return -1
@@ -328,14 +364,20 @@ class Solver:
 
     # ----- main search -----
 
-    def solve(self, assumptions=(), deadline=None, max_conflicts=None):
-        """True = sat, False = unsat, None = resource limit reached."""
+    def solve(self, assumptions=(), deadline=None, max_conflicts=None, resume=False):
+        """True = sat, False = unsat, None = resource limit reached.
+
+        With `resume`, search continues from the current trail, which must
+        have been left by `add_model_clauses` after a solve with the same
+        assumptions.
+        """
         if not self.ok:
             return False
-        self._cancel_until(0)
-        if self.propagate() != -1:
-            self.ok = False
-            return False
+        if not resume:
+            self._cancel_until(0)
+            if self.propagate() != -1:
+                self.ok = False
+                return False
         assumptions = list(assumptions)
         conflicts = 0
         luby_idx = 1

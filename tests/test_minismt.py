@@ -185,18 +185,21 @@ def test_ground_solving_agrees_with_enumeration(trial):
     assert answer == ("sat" if expected else "unsat"), script
 
 
-@pytest.mark.parametrize("trial", range(25))
+@pytest.mark.parametrize("trial", range(37))
 def test_cluster_lowering_agrees_with_order_encoding(trial):
     """The precedence lowering and plain order encoding must agree."""
     rng = random.Random(2000 + trial)
-    n = rng.randint(2, 4)
+    # trials 25 and up use clusters of 5-8 members, long enough for the
+    # lazily added transitivity axioms to matter
+    large = trial >= 25
+    n = rng.randint(5, 8) if large else rng.randint(2, 4)
     names = [f"t{i}" for i in range(n)]
     decls = []
     for nm in names:
         decls.append(f"(declare-fun {nm} () Int)")
         decls.append(f"(assert (and (<= 0 {nm}) (<= {nm} {n})))")
     atoms = []
-    for _ in range(rng.randint(2, 6)):
+    for _ in range(rng.randint(n, 3 * n) if large else rng.randint(2, 6)):
         a, b = rng.sample(names, 2)
         op = rng.choice(["<", "<="])
         lit = f"({op} {a} {b})"
@@ -222,6 +225,32 @@ def test_cluster_lowering_agrees_with_order_encoding(trial):
         env = dict(vals)
         for t in terms:
             assert eval_sexpr(t, env), (atoms, vals)
+
+
+def test_cluster_model_is_repaired_away_from_cycles():
+    decls = "".join(
+        f"(declare-fun {v} () Int)\n(assert (and (<= 0 {v}) (<= {v} 2)))\n"
+        for v in "abc"
+    )
+    out = run_solver(
+        "(set-option :print-success true)\n" + decls
+        + """(set-info :order-cluster (a b c))
+(push 1)
+(assert (< a b))
+(assert (< b c))
+(assert (< c a))
+(check-sat)
+(pop 1)
+(assert (< a b))
+(assert (< b c))
+(check-sat)
+(get-value (a b c))
+(assert (not (< a c)))
+(check-sat)
+(exit)
+"""
+    )
+    assert out == ["unsat", "sat", "((a 0) (b 1) (c 2))", "unsat"]
 
 
 def test_mbqi_universal_over_enum():

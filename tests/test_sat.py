@@ -124,3 +124,43 @@ def test_random_assumption_queries():
         else:
             got = False
         assert got == expected, f"trial {trial}"
+
+
+def test_model_clauses_resume_agrees_with_bruteforce():
+    """Clauses added to a model, then a resumed solve, as order refinement does."""
+    rng = random.Random(11)
+
+    def random_clause(nv, width):
+        return tuple(2 * v + rng.randint(0, 1) for v in rng.sample(range(nv), width))
+
+    for trial in range(150):
+        nv = rng.randint(3, 8)
+        s, vs = make_solver(nv)
+
+        def mapped(cl):
+            return [2 * vs[l >> 1] + (l & 1) for l in cl]
+
+        full = [random_clause(nv, rng.randint(1, 3)) for _ in range(rng.randint(1, 10))]
+        for cl in full:
+            s.add_clause(mapped(cl))
+        assum = random_clause(nv, rng.randint(0, 2))
+        full += [(a,) for a in assum]
+        got = s.solve(mapped(assum))
+        for rounds in range(40):
+            assert got == brute_force_sat(nv, full), f"trial {trial}, round {rounds}"
+            if not got:
+                break
+            for cl in full:
+                assert any(s.value(vs[l >> 1]) != bool(l & 1) for l in cl)
+            # mostly literals the model falsifies, so the trail must give way
+            extra = [
+                tuple(
+                    l ^ 1 if s.value(vs[l >> 1]) != bool(l & 1) and rng.random() < 0.8
+                    else l
+                    for l in random_clause(nv, rng.randint(2, 3))
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            full += extra
+            s.add_model_clauses([mapped(cl) for cl in extra])
+            got = s.solve(mapped(assum), resume=True)
