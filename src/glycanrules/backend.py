@@ -16,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,8 @@ from .formula import (
     TRUE,
     Var,
     conj,
-    domain_product,
     domain_size,
+    domain_values,
     free_vars,
     substitute,
 )
@@ -219,6 +220,10 @@ class Model:
         return self.assignment.get(var.name, default)
 
 
+# commands a ProtocolError quotes; without a dump directory only these are kept
+TRANSCRIPT_TAIL = 8
+
+
 class Session:
     """One live solver subprocess. Callers serialize; not thread-safe."""
 
@@ -226,7 +231,9 @@ class Session:
         self.config = config
         self.declared: set[str] = set()
         self.declared_sorts: dict[str, tuple] = {}
-        self.commands: list[str] = []
+        self.commands: deque[str] = deque(
+            maxlen=None if config.dump_dir else TRANSCRIPT_TAIL
+        )
         self.depth = 0
         self.check_count = 0
         self._emitter = _Emitter()
@@ -250,6 +257,9 @@ class Session:
 
     # ----- plumbing -----
 
+    def _tail(self) -> str:
+        return "\n".join(list(self.commands)[-TRANSCRIPT_TAIL:])
+
     def _send(self, line: str, expect: Optional[str] = None):
         self.commands.append(line)
         if self.proc.stdin is None:
@@ -258,17 +268,14 @@ class Session:
             self.proc.stdin.write(line + "\n")
             self.proc.stdin.flush()
         except BrokenPipeError as exc:
-            raise ProtocolError(
-                "solver exited unexpectedly", "\n".join(self.commands[-5:])
-            ) from exc
+            raise ProtocolError("solver exited unexpectedly", self._tail()) from exc
         if expect is not None:
             reply = self._read_line()
             if reply != expect:
                 if reply.startswith("(error"):
-                    raise ProtocolError(reply, "\n".join(self.commands[-8:]))
+                    raise ProtocolError(reply, self._tail())
                 raise ProtocolError(
-                    f"expected {expect!r}, solver said {reply!r}",
-                    "\n".join(self.commands[-8:]),
+                    f"expected {expect!r}, solver said {reply!r}", self._tail()
                 )
 
     def _read_line(self) -> str:
@@ -276,9 +283,7 @@ class Session:
             raise ProtocolError("solver stdout closed")
         line = self.proc.stdout.readline()
         if line == "":
-            raise ProtocolError(
-                "solver closed its output", "\n".join(self.commands[-8:])
-            )
+            raise ProtocolError("solver closed its output", self._tail())
         return line.strip()
 
     def _read_form(self):
@@ -286,9 +291,7 @@ class Session:
         while True:
             line = self.proc.stdout.readline()
             if line == "":
-                raise ProtocolError(
-                    "solver closed its output mid-form", "\n".join(self.commands[-8:])
-                )
+                raise ProtocolError("solver closed its output mid-form", self._tail())
             try:
                 forms = reader.feed(line)
             except SexprError as exc:
@@ -358,9 +361,8 @@ class Session:
             return f
         if domain_size(f.vars) > self.config.expand_quantifier_threshold:
             return f
-        instances = []
-        for combo in domain_product(f.vars):
-            instances.append(substitute(f.body, dict(zip(f.vars, combo))))
+        instances: list[Formula] = []
+        _expand(f.body, f.vars, 0, instances)
         return conj(instances)
 
     def check_sat(self, label: Optional[str] = None) -> str:
@@ -370,9 +372,7 @@ class Session:
         self.proc.stdin.flush()
         reply = self._read_line()
         if reply not in ("sat", "unsat", "unknown"):
-            raise ProtocolError(
-                f"unexpected check-sat answer {reply!r}", "\n".join(self.commands[-8:])
-            )
+            raise ProtocolError(f"unexpected check-sat answer {reply!r}", self._tail())
         self.commands[-1] = f"(check-sat) ; result: {reply}"
         if self.config.dump_dir and label:
             self._dump_transcript(label)
@@ -447,6 +447,29 @@ class Session:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _expand(body: Formula, vars: tuple, i: int, out: list):
+    """Append the instances of `body` over `vars[i:]` to `out`.
+
+    Binds one variable per level, so the instances below a level share its
+    partly folded body, and stops a branch once it folds to a constant: TRUE
+    is dropped, FALSE makes the conjunction FALSE.  Instances come out in
+    `domain_product` order and, for a body without shared subterms, emit the
+    same text as substituting each point at once; with shared subterms a
+    folded double negation can share more nodes.  Module-level: a recursive
+    closure is a reference cycle that keeps each expansion alive until the
+    next full collection.
+    """
+    var = vars[i]
+    for value in domain_values(var.sort):
+        part = substitute(body, {var: value})
+        if part is TRUE:
+            continue
+        if part is FALSE or i + 1 == len(vars):
+            out.append(part)
+        else:
+            _expand(part, vars, i + 1, out)
 
 
 def _decode_value(var: Var, raw):

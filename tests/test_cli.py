@@ -1,3 +1,5 @@
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -159,6 +161,18 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "glycanrules.cli", "--help"],
         capture_output=True,
         text=True,
+    )
+    assert proc.returncode == 0
+    assert "synth" in proc.stdout
+
+
+def test_package_runs_as_module():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "glycanrules", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout

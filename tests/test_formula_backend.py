@@ -6,11 +6,18 @@ import sys
 
 import pytest
 
-from glycanrules.backend import Session, SolverConfig, default_solver_config
+from glycanrules.backend import (
+    ProtocolError,
+    Session,
+    SolverConfig,
+    _Emitter,
+    default_solver_config,
+)
 from glycanrules.formula import (
     BOOL,
     EnumSort,
     FALSE,
+    Forall,
     IntSort,
     TRUE,
     Var,
@@ -26,6 +33,7 @@ from glycanrules.formula import (
     free_vars,
     iff,
     implies,
+    int_cmp,
     int_eq,
     int_le,
     int_lt,
@@ -201,6 +209,155 @@ def test_quantifier_native_vs_expanded_vs_truth_table(trial):
     for config in (native, expanded):
         res, _ = solve_formulas([uni, ground], config=config)
         assert res == ("sat" if expected else "unsat"), f"config {config}"
+
+
+def random_body(rng, atoms, depth, pool=None):
+    """A random tree; with a `pool`, a DAG that reuses earlier subterms."""
+    if pool and rng.random() < 0.25:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.25:
+        g = rng.choice(atoms)()
+    else:
+        a = random_body(rng, atoms, depth - 1, pool)
+        b = random_body(rng, atoms, depth - 1, pool)
+        g = rng.choice(
+            [conj([a, b]), disj([a, b]), not_(a), implies(a, b), iff(a, b)]
+        )
+    if pool is not None:
+        pool.append(g)
+    return g
+
+
+def random_universal(rng, shared):
+    reg = VarRegistry()
+    qb = reg.make("qb", BOOL)
+    qc = reg.make("qc", COLOR)
+    qi = reg.make("qi", IntSort(0, 2))
+    qj = reg.make("qj", IntSort(1, 3))
+    fb = reg.make("fb", BOOL)
+    fc = reg.make("fc", COLOR)
+    fi = reg.make("fi", IntSort(0, 3))
+    ints = [qi, qj, fi]
+    atoms = [
+        lambda: bool_ref(rng.choice([qb, fb])),
+        lambda: enum_is(rng.choice([qc, fc]), rng.choice(COLOR.members)),
+        lambda: enum_is(qc, fc),
+        lambda: int_cmp(
+            rng.choice(["<", "<=", "="]),
+            rng.choice(ints + [rng.randrange(4)]),
+            rng.choice(ints + [rng.randrange(4)]),
+        ),
+    ]
+    binders = [qb, qc, qi, qj]
+    rng.shuffle(binders)
+    body = random_body(rng, atoms, 5, [] if shared else None)
+    kind = rng.randrange(3)
+    if kind == 1:
+        # TRUE for every prefix that binds the first binder to its first value
+        guard = {
+            qb: bool_ref(qb),
+            qc: not_(enum_is(qc, "Red")),
+            qi: int_le(1, qi),
+            qj: int_le(2, qj),
+        }[binders[0]]
+        body = implies(guard, body)
+    elif kind == 2:
+        # FALSE for exactly one instance
+        point = conj(
+            [not_(bool_ref(qb)), enum_is(qc, "Blue"), int_eq(qi, 2), int_eq(qj, 1)]
+        )
+        body = conj([body, not_(point)])
+    return forall(binders, body), (fb, fc, fi)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["tree", "dag"])
+def test_staged_expansion_matches_one_shot_grounding(shared):
+    rng = random.Random(31)
+    checked = 0
+    with Session(SolverConfig()) as session:
+        for _ in range(150):
+            f, free = random_universal(rng, shared)
+            if not isinstance(f, Forall):
+                continue
+            reference = conj(
+                substitute(f.body, dict(zip(f.vars, c)))
+                for c in domain_product(f.vars)
+            )
+            got = session._maybe_expand(f)
+            if not shared:
+                assert _Emitter().emit(got) == _Emitter().emit(reference)
+            for combo in domain_product(free):
+                env = dict(zip(free, combo))
+                assert evaluate(got, env) == evaluate(reference, env)
+            checked += 1
+    assert checked > 120
+
+
+def test_staged_expansion_may_fold_a_shared_double_negation_further():
+    # Byte identity with one-shot grounding needs a body without shared
+    # subterms.  Here one-shot grounding keeps the tautology
+    # (= (not x) (not x)), because its sides are distinct objects; binding q0
+    # first folds the left side back onto the shared node y, so the staged
+    # instance is TRUE and dropped.
+    reg = VarRegistry()
+    q0, q1, x, z = (reg.make(n, BOOL) for n in ("q0", "q1", "x", "z"))
+    y = disj([not_(bool_ref(x)), bool_ref(q1)])
+    f = forall((q0, q1), disj([bool_ref(z), iff(not_(implies(y, bool_ref(q0))), y)]))
+    reference = conj(
+        substitute(f.body, dict(zip(f.vars, c))) for c in domain_product(f.vars)
+    )
+    with Session(SolverConfig()) as session:
+        got = session._maybe_expand(f)
+    assert len(got.args) == len(reference.args) - 1
+    for combo in itertools.product([False, True], repeat=2):
+        env = dict(zip((x, z), combo))
+        assert evaluate(got, env) == evaluate(reference, env)
+
+
+def test_expansion_threshold_boundary():
+    reg = VarRegistry()
+    q = reg.make("q", IntSort(0, 3))
+    b = reg.make("b", BOOL)
+    f = forall((q, b), implies(bool_ref(b), int_le(q, 2)))  # domain size 8
+    with Session(SolverConfig(expand_quantifier_threshold=8)) as session:
+        assert not isinstance(session._maybe_expand(f), Forall)
+    with Session(SolverConfig(expand_quantifier_threshold=7)) as session:
+        assert session._maybe_expand(f) is f
+
+
+def test_transcript_keeps_a_tail_unless_dumped(tmp_path):
+    reg = VarRegistry()
+    xs = [reg.make(f"x{i}", IntSort(0, 9)) for i in range(6)]
+    asserts = [int_lt(a, b) for a, b in zip(xs, xs[1:])]
+    # a solver that says success to everything and quits at the first check-sat
+    fake = (
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.startswith('(check-sat'):\n"
+        "        break\n"
+        "    print('success', flush=True)\n"
+    )
+    cfg = SolverConfig(executable=sys.executable, extra_args=("-c", fake))
+    with Session(cfg) as s:
+        for f in asserts:
+            s.assert_formula(f)
+        with pytest.raises(ProtocolError) as err:
+            s.check_sat()
+        assert len(s.commands) == 8
+    tail = str(err.value).split("--- transcript tail ---\n", 1)[1].splitlines()
+    assert tail[-1] == "(check-sat)"
+    assert tail[-2] == f"(assert (< {xs[4].name} {xs[5].name}))"
+    assert len(tail) == 8
+
+    with Session(SolverConfig(dump_dir=str(tmp_path))) as s:
+        for f in asserts:
+            s.assert_formula(f)
+        assert s.check_sat("full") == "sat"
+    lines = (tmp_path / "full.smt2").read_text().splitlines()
+    # 5 options, 6 declarations with their range asserts, 5 asserts, check-sat
+    assert lines[0] == "(set-option :print-success true)"
+    assert len(lines) == 5 + 12 + 5 + 2
+    assert lines[-2:] == ["(check-sat)", "; expect sat"]
 
 
 def test_emission_is_deterministic(tmp_path):
