@@ -1,21 +1,34 @@
 """SMT-LIB2 session layer: lowering, solver subprocess management, models.
 
-The session speaks SMT-LIB2 v2.6 text over the child process's standard
-streams: one `(check-sat)` per query, models fetched with `(get-value ...)`
-over explicit variable lists, scoped retraction via `(push 1)`/`(pop 1)`.
-Identical formulas produce byte-identical text (deterministic name allocation
-and let-naming), which makes query transcripts replayable.
+The session speaks SMT-LIB2 v2.6 text over a solver's pipes: one
+`(check-sat)` per query, models fetched with `(get-value ...)` over explicit
+variable lists, scoped retraction via `(push 1)`/`(pop 1)`.  Identical
+formulas produce byte-identical text (deterministic name allocation and
+let-naming), which makes query transcripts replayable.
 
-The default executable is the bundled solver (`python -m glycanrules.minismt`);
-set GLYCANRULES_SOLVER to substitute any SMT-LIB2 solver binary such as z3.
+The default solver is the bundled one, started as
+`python -S -m glycanrules.minismt` with this package's root prepended to
+PYTHONPATH, so the child imports the same `glycanrules` as the client and
+skips `site`.  `Session.pair` opens the two sessions of one synthesis: with
+the bundled solver it starts one child and passes it a second pipe pair
+through the internal `--internal-fork` argument; the child forks after
+import and serves the second session from the fork.  Set GLYCANRULES_SOLVER
+to substitute any SMT-LIB2 solver binary such as z3; an external solver gets
+one process per session.  Each launch writes its stderr to a temporary file,
+and launch and protocol errors quote its tail.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
+import select
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -51,13 +64,17 @@ class BackendError(RuntimeError):
 
 
 class SolverLaunchError(BackendError):
-    pass
+    """The solver did not start, or failed the opening handshake; the latter
+    quotes the ProtocolError, with the solver's stderr tail."""
 
 
 class ProtocolError(BackendError):
-    def __init__(self, message, transcript_tail=""):
-        super().__init__(message + ("\n--- transcript tail ---\n" + transcript_tail
-                                    if transcript_tail else ""))
+    def __init__(self, message, transcript_tail="", stderr_tail=""):
+        if stderr_tail:
+            message += "\n--- solver stderr tail ---\n" + stderr_tail
+        if transcript_tail:
+            message += "\n--- transcript tail ---\n" + transcript_tail
+        super().__init__(message)
 
 
 @dataclass
@@ -76,7 +93,7 @@ class SolverConfig:
     def command(self) -> list[str]:
         if self.executable:
             return [self.executable, *self.extra_args]
-        return [sys.executable, "-m", "glycanrules.minismt"]
+        return [sys.executable, "-S", "-m", "glycanrules.minismt"]
 
 
 def default_solver_config(**overrides) -> SolverConfig:
@@ -222,12 +239,23 @@ class Model:
 
 # commands a ProtocolError quotes; without a dump directory only these are kept
 TRANSCRIPT_TAIL = 8
+# bytes of the solver's stderr a launch or protocol error quotes
+STDERR_TAIL = 2048
+# the root `glycanrules` is imported from, put first on the bundled solver's path
+PACKAGE_ROOT = str(pathlib.Path(__file__).resolve().parents[1])
 
 
 class Session:
-    """One live solver subprocess. Callers serialize; not thread-safe."""
+    """One solver session over a process's pipes. Callers serialize; not
+    thread-safe.
 
-    def __init__(self, config: SolverConfig):
+    `Session(config)` starts a process of its own.  `proc` is an already
+    launched solver handle (see `Session.pair`), with `stderr` the temporary
+    file its stderr goes to; a session that is handed a process does not own
+    that file.
+    """
+
+    def __init__(self, config: SolverConfig, proc=None, stderr=None):
         self.config = config
         self.declared: set[str] = set()
         self.declared_sorts: dict[str, tuple] = {}
@@ -237,53 +265,116 @@ class Session:
         self.depth = 0
         self.check_count = 0
         self._emitter = _Emitter()
+        self._own_stderr = proc is None
+        if proc is None:
+            stderr = tempfile.TemporaryFile()
+            try:
+                proc = _launch(config, config.command(), stderr)
+            except BaseException:
+                stderr.close()
+                raise
+        self.proc = proc
+        self.stderr = stderr
         try:
-            self.proc = subprocess.Popen(
-                config.command(),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-            )
-        except OSError as exc:
-            raise SolverLaunchError(
-                f"cannot launch solver {config.command()!r}: {exc}"
-            ) from exc
-        self._send("(set-option :print-success true)", expect="success")
-        self._send("(set-option :produce-models true)", expect="success")
-        self._send("(set-option :global-declarations true)", expect="success")
-        self._send(f"(set-option :timeout {config.timeout_ms})", expect="success")
-        self._send(f"(set-logic {config.logic})", expect="success")
+            self._send("(set-option :print-success true)", expect="success")
+            self._send("(set-option :produce-models true)", expect="success")
+            self._send("(set-option :global-declarations true)", expect="success")
+            self._send(f"(set-option :timeout {config.timeout_ms})", expect="success")
+            self._send(f"(set-logic {config.logic})", expect="success")
+        except BaseException as exc:
+            self._kill()
+            self._release()
+            if isinstance(exc, ProtocolError):
+                raise SolverLaunchError(
+                    f"solver {config.command()!r} did not start: {exc}"
+                ) from exc
+            raise
+
+    @classmethod
+    @contextlib.contextmanager
+    def pair(cls, config: SolverConfig):
+        """The two sessions of one synthesis, closed second first.
+
+        The bundled solver serves both from one launch: the child forks the
+        second session off after import, so it costs a fork, not another
+        interpreter start, and stays a process of its own.  An external
+        solver, or a platform without `fork`, gets one process per session.
+        """
+        if config.executable or not hasattr(os, "fork"):
+            with cls(config) as first, cls(config) as second:
+                yield first, second
+            return
+        with tempfile.TemporaryFile() as stderr:
+            to_fork, from_client = os.pipe()
+            to_client, from_fork = os.pipe()
+            try:
+                owner = _launch(
+                    config,
+                    [*config.command(), "--internal-fork",
+                     f"{to_fork},{from_fork}"],
+                    stderr,
+                    pass_fds=(to_fork, from_fork),
+                )
+            except BaseException:
+                os.close(from_client)
+                os.close(to_client)
+                raise
+            finally:
+                os.close(to_fork)
+                os.close(from_fork)
+            forked = _Forked(owner, open(from_client, "w"), open(to_client))
+            try:
+                first = cls(config, owner, stderr)
+            except BaseException:
+                forked.stdin.close()
+                forked.stdout.close()
+                raise
+            with first, cls(config, forked, stderr) as second:
+                yield first, second
 
     # ----- plumbing -----
 
     def _tail(self) -> str:
         return "\n".join(list(self.commands)[-TRANSCRIPT_TAIL:])
 
-    def _send(self, line: str, expect: Optional[str] = None):
-        self.commands.append(line)
-        if self.proc.stdin is None:
-            raise ProtocolError("solver stdin closed")
+    def _stderr_tail(self) -> str:
+        """The last STDERR_TAIL bytes the solver wrote to its stderr."""
+        try:
+            fd = self.stderr.fileno()
+            size = os.fstat(fd).st_size
+            # pread leaves the offset alone, which the child shares
+            data = os.pread(fd, STDERR_TAIL, max(0, size - STDERR_TAIL))
+        except (OSError, ValueError):
+            return ""
+        return data.decode("utf-8", "replace").strip()
+
+    def _fail(self, message: str, transcript_tail: Optional[str] = None):
+        tail = self._tail() if transcript_tail is None else transcript_tail
+        return ProtocolError(message, tail, self._stderr_tail())
+
+    def _write(self, line: str):
+        if self.proc.stdin.closed:
+            raise self._fail("solver stdin closed")
         try:
             self.proc.stdin.write(line + "\n")
             self.proc.stdin.flush()
         except BrokenPipeError as exc:
-            raise ProtocolError("solver exited unexpectedly", self._tail()) from exc
+            raise self._fail("solver exited unexpectedly") from exc
+
+    def _send(self, line: str, expect: Optional[str] = None):
+        self.commands.append(line)
+        self._write(line)
         if expect is not None:
             reply = self._read_line()
             if reply != expect:
                 if reply.startswith("(error"):
-                    raise ProtocolError(reply, self._tail())
-                raise ProtocolError(
-                    f"expected {expect!r}, solver said {reply!r}", self._tail()
-                )
+                    raise self._fail(reply)
+                raise self._fail(f"expected {expect!r}, solver said {reply!r}")
 
     def _read_line(self) -> str:
-        if self.proc.stdout is None:
-            raise ProtocolError("solver stdout closed")
         line = self.proc.stdout.readline()
         if line == "":
-            raise ProtocolError("solver closed its output", self._tail())
+            raise self._fail("solver closed its output")
         return line.strip()
 
     def _read_form(self):
@@ -291,11 +382,11 @@ class Session:
         while True:
             line = self.proc.stdout.readline()
             if line == "":
-                raise ProtocolError("solver closed its output mid-form", self._tail())
+                raise self._fail("solver closed its output mid-form")
             try:
                 forms = reader.feed(line)
             except SexprError as exc:
-                raise ProtocolError(f"bad solver output: {exc}", line) from exc
+                raise self._fail(f"bad solver output: {exc}", line) from exc
             if forms:
                 return forms[0]
 
@@ -368,11 +459,10 @@ class Session:
     def check_sat(self, label: Optional[str] = None) -> str:
         self.check_count += 1
         self.commands.append("(check-sat)")
-        self.proc.stdin.write("(check-sat)\n")
-        self.proc.stdin.flush()
+        self._write("(check-sat)")
         reply = self._read_line()
         if reply not in ("sat", "unsat", "unknown"):
-            raise ProtocolError(f"unexpected check-sat answer {reply!r}", self._tail())
+            raise self._fail(f"unexpected check-sat answer {reply!r}")
         self.commands[-1] = f"(check-sat) ; result: {reply}"
         if self.config.dump_dir and label:
             self._dump_transcript(label)
@@ -406,11 +496,10 @@ class Session:
             group = ordered[i : i + chunk]
             names = " ".join(v.name for v in group)
             self.commands.append(f"(get-value ({names}))")
-            self.proc.stdin.write(f"(get-value ({names}))\n")
-            self.proc.stdin.flush()
+            self._write(f"(get-value ({names}))")
             form = self._read_form()
             if not isinstance(form, tuple):
-                raise ProtocolError(f"bad get-value reply {form!r}")
+                raise self._fail(f"bad get-value reply {form!r}")
             by_name = {v.name: v for v in group}
             for pair in form:
                 name, raw = pair[0], pair[1]
@@ -420,7 +509,7 @@ class Session:
                 assignment[name] = _decode_value(var, raw)
         missing = [v.name for v in ordered if v.name not in assignment]
         if missing:
-            raise ProtocolError(f"model misses {missing[:5]}")
+            raise self._fail(f"model misses {missing[:5]}")
         return Model(assignment)
 
     def push(self):
@@ -440,13 +529,101 @@ class Session:
                 self.proc.stdin.close()
                 self.proc.wait(timeout=5)
         except Exception:
-            self.proc.kill()
+            self._kill()
+        finally:
+            self._release()
+
+    def _kill(self):
+        self.proc.kill()
+        self.proc.wait()
+
+    def _release(self):
+        """Close the client's ends of the pipes, and the stderr file if owned."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            with contextlib.suppress(OSError):
+                pipe.close()
+        if self._own_stderr:
+            self.stderr.close()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _launch(config: SolverConfig, command: list, stderr, pass_fds=()):
+    """Start `command` with piped stdin/stdout and stderr to `stderr`.
+
+    The bundled solver runs with `-S`, so it gets PACKAGE_ROOT first on its
+    PYTHONPATH, and it starts a process group of its own, which `kill` ends
+    with the process it may fork.
+    """
+    env = None
+    group = False
+    if not config.executable:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH")))
+        )
+        group = hasattr(os, "killpg")
+    try:
+        return (_GroupPopen if group else subprocess.Popen)(
+            command,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            env=env,
+            pass_fds=pass_fds,
+            start_new_session=group,
+        )
+    except OSError as exc:
+        raise SolverLaunchError(f"cannot launch solver {command!r}: {exc}") from exc
+
+
+class _GroupPopen(subprocess.Popen):
+    """A solver leading its own process group; `kill` ends the whole group.
+
+    The group outlives a leader that has exited while its fork still runs,
+    so the group is signalled even then.
+    """
+
+    def kill(self):
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(self.pid, signal.SIGKILL)
+
+
+class _Forked:
+    """The client's ends of the session a bundled solver forks after import.
+
+    Stands in for the `Popen` of a process of its own.  Only the owner can
+    reap the fork, so `wait` waits for the fork to close its output, and
+    `kill` ends the owner's process group, the fork with it.
+    """
+
+    def __init__(self, owner: subprocess.Popen, stdin, stdout):
+        self.owner = owner
+        self.stdin = stdin
+        self.stdout = stdout
+        self.returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        fd = self.stdout.fileno()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            left = None if deadline is None else max(0.0, deadline - time.monotonic())
+            if not select.select([fd], [], [], left)[0]:
+                raise subprocess.TimeoutExpired("minismt fork", timeout)
+            if not os.read(fd, 65536):
+                self.returncode = 0
+                return 0
+
+    def kill(self):
+        self.owner.kill()
 
 
 def _expand(body: Formula, vars: tuple, i: int, out: list):

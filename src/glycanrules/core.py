@@ -9,6 +9,7 @@ tuple of slot indices on the path from the root, so ``()`` is the root and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -121,6 +122,11 @@ def tree_positions(root: TreeNode) -> Iterator[tuple[Path, TreeNode]]:
             kid = node.children[slot - 1]
             if kid is not None:
                 stack.append((path + (slot,), kid))
+
+
+def index_paths(width: int, depth: int) -> Iterator[Path]:
+    """Every path of `depth` slot indices in 1..`width`, in lexicographic order."""
+    return itertools.product(range(1, width + 1), repeat=depth)
 
 
 def tree_height(root: TreeNode) -> int:

@@ -1,12 +1,13 @@
 """Synthesis orchestration: the candidate/counterexample loop, an exhaustive
 brute-force reference synthesizer, and report emission.
 
-The loop alternates two solver sessions.  The synthesis session holds the
-template-correctness constraints, the produce-encodings of every observed
-molecule, and the accumulated rejections; the counterexample session holds the
-molecule-template constraints and is re-targeted at each candidate rule set
-under push/pop.  A returned rule set is accepted only after the concrete
-forward oracle re-verifies it, independently of the encoder.
+The loop alternates the two solver sessions of one `Session.pair`.  The
+synthesis session holds the template-correctness constraints, the
+produce-encodings of every observed molecule, and the accumulated rejections;
+the counterexample session holds the molecule-template constraints and is
+re-targeted at each candidate rule set under push/pop.  A returned rule set
+is accepted only after the concrete forward oracle re-verifies it,
+independently of the encoder.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .backend import Session, SolverConfig, default_solver_config
-from .core import Dataset, Molecule, Rule, RuleSet, TreeNode
+from .core import Dataset, Molecule, Rule, RuleSet, TreeNode, tree_positions
 from .encoder import (
     ConcreteMoleculeSide,
     ConcreteRuleSide,
@@ -165,7 +166,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     observed_keys = {serialize_molecule(m) for m in data.molecules}
     seen_counterexamples: set[str] = set()
 
-    with Session(cfg) as synth, Session(cfg) as cex:
+    with Session.pair(cfg) as (synth, cex):
         synth.assert_formula(tcons)
         for mol in data.molecules:
             side = ConcreteMoleculeSide(ctx, mol)
@@ -441,7 +442,7 @@ def enumerate_rules(alphabet, depth: int, width: int, compartments: int,
     rules = []
     for tree in enumerate_trees(alphabet, depth, width):
         positions = [
-            p for p, _ in sorted(_positions(tree)) if 0 < len(p) < depth
+            p for p, _ in sorted(tree_positions(tree)) if 0 < len(p) < depth
         ]
         for expand in positions:
             hard_options = [frozenset()]
@@ -464,17 +465,9 @@ def enumerate_rules(alphabet, depth: int, width: int, compartments: int,
     return rules
 
 
-def _positions(tree: TreeNode, path=()):
-    yield path, tree
-    for slot in range(1, len(tree.children) + 1):
-        kid = tree.children[slot - 1]
-        if kid is not None:
-            yield from _positions(kid, path + (slot,))
-
-
 def _empty_slots(tree: TreeNode, alphabet):
     out = []
-    for path, node in sorted(_positions(tree)):
+    for path, node in sorted(tree_positions(tree)):
         for slot in range(1, alphabet.arity(node.label) + 1):
             if node.child(slot) is None:
                 out.append((path, slot))

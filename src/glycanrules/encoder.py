@@ -25,6 +25,7 @@ from .core import (
     Rule,
     RuleSet,
     TreeNode,
+    index_paths,
     node_at,
 )
 from .formula import (
@@ -861,7 +862,7 @@ def repeat_rejection(ctx: EncodingContext, mt: MoleculeTemplate,
             if not mt.exists(anchor):
                 continue
             for depth in range(1, d0 + 1):
-                for ipath in _index_paths(mt.width, depth):
+                for ipath in index_paths(mt.width, depth):
                     for reps in range(1, r0 + 1):
                         heads = [anchor + ipath * i for i in range(reps + 1)]
                         if not mt.exists(heads[-1]):
@@ -881,15 +882,6 @@ def repeat_rejection(ctx: EncodingContext, mt: MoleculeTemplate,
                         )
                         parts.append(not_(conj(match)))
     return conj(parts)
-
-
-def _index_paths(width: int, depth: int):
-    if depth == 0:
-        yield ()
-        return
-    for head in range(1, width + 1):
-        for rest in _index_paths(width, depth - 1):
-            yield (head,) + rest
 
 
 # --------------------------------------------------------------------------

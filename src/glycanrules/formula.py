@@ -310,42 +310,49 @@ def free_vars(f: Formula) -> list[Var]:
 
 def substitute(f: Formula, binding: dict) -> Formula:
     """Replace variables by constants (bool / int / member name), folding."""
-    memo: dict[int, Formula] = {}
+    return _substitute(f, binding, {})
 
-    def value_of(v):
-        return binding.get(v, v) if isinstance(v, Var) else v
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, _Const):
-            return g
-        hit = memo.get(id(g))
-        if hit is not None:
-            return hit
-        if isinstance(g, BoolRef):
-            got = binding.get(g.var)
-            out = g if got is None else (TRUE if got else FALSE)
-        elif isinstance(g, EnumEq):
-            out = enum_is(value_of(g.left), value_of(g.right))
-        elif isinstance(g, IntCmp):
-            out = int_cmp(g.op, value_of(g.lhs), value_of(g.rhs))
-        elif isinstance(g, Not):
-            out = not_(walk(g.arg))
-        elif isinstance(g, And):
-            out = conj([walk(a) for a in g.args])
-        elif isinstance(g, Or):
-            out = disj([walk(a) for a in g.args])
-        elif isinstance(g, Implies):
-            out = implies(walk(g.left), walk(g.right))
-        elif isinstance(g, Iff):
-            out = iff(walk(g.left), walk(g.right))
-        elif isinstance(g, Forall):
-            out = forall(g.vars, walk(g.body))
-        else:
-            raise TypeError(f"unknown formula node {g!r}")
-        memo[id(g)] = out
-        return out
+def _substitute(g: Formula, binding: dict, memo: dict) -> Formula:
+    """`substitute` over the DAG below `g`, memoized by node identity.
 
-    return walk(f)
+    Module-level, not a closure inside `substitute`: a recursive closure is a
+    reference cycle that keeps each call's memo alive until a collection.
+    """
+    if isinstance(g, _Const):
+        return g
+    hit = memo.get(id(g))
+    if hit is not None:
+        return hit
+    if isinstance(g, BoolRef):
+        got = binding.get(g.var)
+        out = g if got is None else (TRUE if got else FALSE)
+    elif isinstance(g, EnumEq):
+        out = enum_is(_value_of(g.left, binding), _value_of(g.right, binding))
+    elif isinstance(g, IntCmp):
+        out = int_cmp(g.op, _value_of(g.lhs, binding), _value_of(g.rhs, binding))
+    elif isinstance(g, Not):
+        out = not_(_substitute(g.arg, binding, memo))
+    elif isinstance(g, And):
+        out = conj([_substitute(a, binding, memo) for a in g.args])
+    elif isinstance(g, Or):
+        out = disj([_substitute(a, binding, memo) for a in g.args])
+    elif isinstance(g, Implies):
+        out = implies(_substitute(g.left, binding, memo),
+                      _substitute(g.right, binding, memo))
+    elif isinstance(g, Iff):
+        out = iff(_substitute(g.left, binding, memo),
+                  _substitute(g.right, binding, memo))
+    elif isinstance(g, Forall):
+        out = forall(g.vars, _substitute(g.body, binding, memo))
+    else:
+        raise TypeError(f"unknown formula node {g!r}")
+    memo[id(g)] = out
+    return out
+
+
+def _value_of(v, binding: dict):
+    return binding.get(v, v) if isinstance(v, Var) else v
 
 
 def evaluate(f: Formula, env: dict) -> bool:

@@ -4,10 +4,16 @@ Reads commands, answers on stdout; supports the fragment the session layer
 emits: set-logic/set-option/set-info, declare-datatypes (enumerations only),
 declare-fun (zero-ary), assert, check-sat, get-value, push/pop (one level per
 command), echo, reset, exit.
+
+`--internal-fork IN,OUT` is internal to `backend.Session.pair`: IN and OUT
+are inherited pipe descriptors of a second session.  After import the
+process forks; the fork serves the second session on IN/OUT and the parent
+serves the first on stdin/stdout, then reaps the fork before it exits.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .engine import Engine, SolverError
@@ -138,11 +144,11 @@ def expand_lets(term, env):
     return tuple(expand_lets(t, env) for t in term)
 
 
-def main(argv=None) -> int:
-    out = sys.stdout
+def serve(inp, out) -> int:
+    """Answer the commands read from `inp` on `out` until exit or end of input."""
     session = Session(out)
     reader = Reader()
-    for line in sys.stdin:
+    for line in inp:
         try:
             forms = reader.feed(line)
         except SexprError as exc:
@@ -153,6 +159,41 @@ def main(argv=None) -> int:
             if session.done:
                 return 0
     return 0
+
+
+def serve_pair(in_fd: int, out_fd: int) -> int:
+    """Serve stdin/stdout here and a forked session on `in_fd`/`out_fd`."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # hold none of the first session's pipes, so each side sees its
+            # own end of input
+            null = os.open(os.devnull, os.O_RDWR)
+            os.dup2(null, 0)
+            os.dup2(null, 1)
+            os.close(null)
+            with open(in_fd) as inp, open(out_fd, "w") as out:
+                code = serve(inp, out)
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+    os.close(in_fd)
+    os.close(out_fd)
+    try:
+        return serve(sys.stdin, sys.stdout)
+    finally:
+        os.waitpid(pid, 0)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--internal-fork"]:
+        in_fd, out_fd = (int(fd) for fd in args[1].split(","))
+        return serve_pair(in_fd, out_fd)
+    return serve(sys.stdin, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -72,6 +72,7 @@ class Engine:
         self.order_bits: dict[tuple, int] = {}
         self.bool_vars: dict[str, int] = {}
         self.min_aux: dict[str, int] = {}
+        self.lowered_cluster_min = False  # set by _atom_int_eq_const
         self.aux: dict[tuple, int] = {}
         self.tseitin: dict[tuple, tuple] = {}  # id-key -> (var, done_polarity)
         self.scopes = [Scope(None)]
@@ -308,6 +309,7 @@ class Engine:
                 raise SolverError(
                     f"cluster integer {name} compared to non-minimum {c}"
                 )
+            self.lowered_cluster_min = True
             lit = self.min_aux.get(name)
             if lit is not None:
                 return lit
@@ -534,9 +536,55 @@ class Engine:
             for sub in term[1:]:
                 self.assert_term(sub)
             return
-        lit = self._lower(term, {})
+        lit = self._lower_root(term)
         guard = [] if scope.selector is None else [neg(2 * scope.selector)]
         self.sat.add_clause(guard + [lit])
+
+    def _lower_root(self, term) -> int:
+        """Literal of an asserted term, whose cluster minima must be positive."""
+        self.lowered_cluster_min = False
+        lit = self._lower(term, {})
+        if self.lowered_cluster_min:
+            self._check_cluster_min_polarity(term)
+        return lit
+
+    def _check_cluster_min_polarity(self, term):
+        """Reject a cluster-minimum atom anywhere but in positive polarity.
+
+        `(= t lo)` on a cluster member is lowered as "t has no predecessor",
+        which matches t = lo only where the atom is asserted true: negated it
+        would say "t has a predecessor", which is stronger than t != lo.
+        """
+        seen = set()
+        todo = [(term, 1)]  # polarity: 1 positive, -1 negative, 0 both
+        while todo:
+            t, pol = todo.pop()
+            if not isinstance(t, tuple) or (id(t), pol) in seen:
+                continue
+            seen.add((id(t), pol))
+            head = t[0]
+            if head == "not":
+                todo.append((t[1], -pol))
+            elif head in ("and", "or"):
+                todo.extend((a, pol) for a in t[1:])
+            elif head == "=>":
+                todo.extend((a, -pol) for a in t[1:-1])
+                todo.append((t[-1], pol))
+            elif head == "ite":
+                todo.append((t[1], 0))
+                todo.extend((a, pol) for a in t[2:])
+            elif head == "=":
+                a, b = t[1], t[2]
+                if self._is_int_operand(a) and self._is_int_operand(b):
+                    name, c = (b, a) if isinstance(a, int) else (a, b)
+                    if (pol != 1 and name in self.cluster_of
+                            and c == self.int_bounds[name][0]):
+                        raise SolverError(
+                            f"cluster integer {name} = {c} occurs negated; "
+                            "an order-cluster minimum may only be asserted"
+                        )
+                elif not (self._is_enum_operand(a) and self._is_enum_operand(b)):
+                    todo.extend(((a, 0), (b, 0)))
 
     def _assert_forall(self, term):
         if self.is_sub:
@@ -638,7 +686,7 @@ class Engine:
                 if wit is not None:
                     inst = substitute(uni.body, wit)
                     sel = self.scopes[uni.scope_depth].selector
-                    lit = self._lower(inst, {})
+                    lit = self._lower_root(inst)
                     guard = [] if sel is None else [neg(2 * sel)]
                     self.sat.add_clause(guard + [lit])
                     violated = True

@@ -25,6 +25,7 @@ from .core import (
     RuleSet,
     TreeNode,
     graft,
+    index_paths,
     is_rooted_prefix,
     match_embedded,
     node_at,
@@ -215,15 +216,6 @@ def _exact_pos(
     return True
 
 
-def _index_paths(width: int, depth: int):
-    if depth == 0:
-        yield ()
-        return
-    for head in range(1, width + 1):
-        for rest in _index_paths(width, depth - 1):
-            yield (head,) + rest
-
-
 def _max_slots(m: Molecule) -> int:
     return max((len(node.children) for _, node in m.positions()), default=0)
 
@@ -257,7 +249,7 @@ def repeat_explains(extra: Molecule, observed: Molecule, cfg: RepeatConfig) -> b
         if not _equal_outside(extra.root, observed.root, anchor_path):
             continue
         for depth in range(1, cfg.max_depth + 1):
-            for ipath in _index_paths(width, depth):
+            for ipath in index_paths(width, depth):
                 for reps in range(1, cfg.max_repeats + 1):
                     head_paths = [
                         anchor_path + ipath * i for i in range(reps + 1)

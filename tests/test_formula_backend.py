@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pathlib
 import random
@@ -432,6 +433,22 @@ def test_push_pop_scoping():
         assert s.check_sat() == "unsat"
         s.pop()
         assert s.check_sat() == "sat"
+
+
+def test_substitute_leaves_no_reference_cycles():
+    b, c, x, y = make_vars()
+    f = conj([
+        disj([bool_ref(b), enum_is(c, "Red")]),
+        implies(int_lt(x, y), not_(bool_ref(b))),
+    ])
+    gc.collect()
+    gc.disable()
+    try:
+        for value in range(100):
+            substitute(f, {x: value % 4})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_missing_solver_binary_raises():

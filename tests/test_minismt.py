@@ -253,6 +253,57 @@ def test_cluster_model_is_repaired_away_from_cycles():
     assert out == ["unsat", "sat", "((a 0) (b 1) (c 2))", "unsat"]
 
 
+def cluster_script(body: str, hint: bool) -> str:
+    decls = "".join(
+        f"(declare-fun t{i} () Int)\n(assert (and (<= 0 t{i}) (<= t{i} 4)))\n"
+        for i in range(4)
+    )
+    return (
+        "(set-option :print-success true)\n" + decls
+        + ("(set-info :order-cluster (t0 t1 t2 t3))\n" if hint else "")
+        + body + "\n(check-sat)\n(exit)\n"
+    )
+
+
+def test_negated_cluster_minimum_is_an_error():
+    # "t0 has a predecessor" is stronger than t0 != 0: with the hint this
+    # script used to answer unsat, while t0..t3 = 4 satisfies it
+    body = """(assert (= t1 t3))
+(assert (<= t2 t3))
+(assert (<= t0 t1))
+(assert (not (= t0 0)))
+(assert (=> (and (<= t2 t0) (<= t0 t1)) (<= t0 t2)))"""
+    with_hint = run_solver(cluster_script(body, hint=True))
+    assert with_hint[0].startswith("(error") and "t0 = 0" in with_hint[0]
+    assert with_hint[-1] == "sat"
+    assert run_solver(cluster_script(body, hint=False)) == ["sat"]
+
+
+@pytest.mark.parametrize("term", [
+    "(not (= t0 0))",
+    "(=> (= t0 0) (< t1 t2))",
+    "(or (< t1 t2) (not (and (= t0 0) (< t2 t3))))",
+    "(= (= t0 0) (< t1 t2))",
+    "(ite (= t0 0) (< t1 t2) (< t2 t1))",
+    "(and (= t0 0) (not (= t0 0)))",
+])
+def test_cluster_minimum_outside_positive_polarity_is_rejected(term):
+    out = run_solver(cluster_script(f"(assert {term})", hint=True))
+    assert out[0].startswith("(error"), out
+
+
+@pytest.mark.parametrize("term", [
+    "(= t0 0)",
+    "(and (= t0 0) (< t0 t1))",
+    "(or (= t0 0) (= t1 0))",
+    "(=> (< t1 t2) (= t0 0))",
+    "(ite (< t1 t2) (= t0 0) (= t1 0))",
+    "(not (not (= t0 0)))",
+])
+def test_cluster_minimum_in_positive_polarity_is_allowed(term):
+    assert run_solver(cluster_script(f"(assert {term})", hint=True)) == ["sat"]
+
+
 def test_mbqi_universal_over_enum():
     out = run_solver(
         """(set-option :print-success true)
