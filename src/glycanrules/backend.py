@@ -77,12 +77,15 @@ class ProtocolError(BackendError):
         super().__init__(message)
 
 
+# the logic every session declares
+LOGIC = "UFDTLIA"
+
+
 @dataclass
 class SolverConfig:
     executable: str = ""
     extra_args: tuple = ()
     timeout_ms: int = 600_000
-    logic: str = "UFDTLIA"
     dump_dir: Optional[str] = None
     expand_quantifier_threshold: int = 4096
 
@@ -97,16 +100,21 @@ class SolverConfig:
 
 
 def default_solver_config(**overrides) -> SolverConfig:
+    """A `SolverConfig(**overrides)` with the solver filled in.
+
+    The executable is the one passed, else GLYCANRULES_SOLVER, else the
+    bundled solver.  An external one takes the `extra_args` passed, else
+    GLYCANRULES_SOLVER_ARGS, else `-in -smt2` if it is z3.
+    """
     cfg = SolverConfig(**overrides)
     if not cfg.executable:
-        env = os.environ.get("GLYCANRULES_SOLVER", "")
-        if env:
-            cfg.executable = env
-            args = os.environ.get("GLYCANRULES_SOLVER_ARGS")
-            if args is not None:
-                cfg.extra_args = tuple(args.split())
-            elif "z3" in pathlib.Path(env).name:
-                cfg.extra_args = ("-in", "-smt2")
+        cfg.executable = os.environ.get("GLYCANRULES_SOLVER", "")
+    if cfg.executable and "extra_args" not in overrides:
+        args = os.environ.get("GLYCANRULES_SOLVER_ARGS")
+        if args is not None:
+            cfg.extra_args = tuple(args.split())
+        elif "z3" in pathlib.Path(cfg.executable).name:
+            cfg.extra_args = ("-in", "-smt2")
     return cfg
 
 
@@ -227,14 +235,8 @@ class Model:
     def __init__(self, assignment: dict):
         self.assignment = assignment
 
-    def __getitem__(self, var: Var):
-        return self.assignment[var.name]
-
     def value(self, var: Var):
         return self.assignment[var.name]
-
-    def get(self, var: Var, default=None):
-        return self.assignment.get(var.name, default)
 
 
 # commands a ProtocolError quotes; without a dump directory only these are kept
@@ -280,7 +282,7 @@ class Session:
             self._send("(set-option :produce-models true)", expect="success")
             self._send("(set-option :global-declarations true)", expect="success")
             self._send(f"(set-option :timeout {config.timeout_ms})", expect="success")
-            self._send(f"(set-logic {config.logic})", expect="success")
+            self._send(f"(set-logic {LOGIC})", expect="success")
         except BaseException as exc:
             self._kill()
             self._release()

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (Synthesized / verification passed), 2 budget failure
 (NoRulesInBudget / verification failed), 3 inconclusive, 1 usage, I/O, or
-solver errors.  Reports are written atomically (temp file, then rename).
+solver errors, 143 on SIGTERM, once the solver is stopped.  Reports are
+written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import signal
 import sys
 import tempfile
 
-from .backend import BackendError, SolverLaunchError, default_solver_config
+from .backend import BackendError, default_solver_config
 from .core import ModelError, RuleSet
 from .driver import (
     Budgets,
@@ -81,18 +83,11 @@ def _variants(args) -> Variants:
 
 
 def _solver_config(args):
-    kwargs = {"timeout_ms": args.timeout}
-    if args.dump_smt:
-        kwargs["dump_dir"] = args.dump_smt
-    cfg = default_solver_config(**kwargs)
-    if args.solver:
-        cfg.executable = args.solver
-        env_args = os.environ.get("GLYCANRULES_SOLVER_ARGS")
-        if env_args is not None:
-            cfg.extra_args = tuple(env_args.split())
-        elif "z3" in pathlib.Path(args.solver).name:
-            cfg.extra_args = ("-in", "-smt2")
-    return cfg
+    return default_solver_config(
+        executable=args.solver or "",
+        timeout_ms=args.timeout,
+        dump_dir=args.dump_smt or None,
+    )
 
 
 def _emit_dot(outdir: str, rules: RuleSet, data):
@@ -121,7 +116,6 @@ def run_synth(args) -> int:
         limits=Limits(max_iterations=args.max_iters, wall_clock_s=args.wall_clock),
         mode=args.mode,
         symmetry=not args.no_symmetry,
-        ce_strategy=args.ce_strategy,
         minimize=args.minimize,
     )
     # validate flags before any work
@@ -209,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="overall time limit in seconds")
     synth.add_argument("--mode", choices=["quantified", "instantiate-only"],
                        default="quantified")
-    synth.add_argument("--ce-strategy", choices=["rebuild", "reuse"],
-                       default="rebuild")
     synth.add_argument("--no-symmetry", action="store_true",
                        help="disable template symmetry breaking")
     synth.add_argument("--minimize", action="store_true",
@@ -237,23 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the bundled solver leads a process group of its own, which a SIGTERM to
+    # the client's group misses: unwind instead, so the sessions end it
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
-    except (ParseError, ModelError, ValueError) as exc:
+    except (ParseError, ModelError, ValueError, FileNotFoundError,
+            BackendError, ClosureBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SolverLaunchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BackendError, ClosureBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

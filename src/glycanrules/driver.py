@@ -79,7 +79,6 @@ class SynthesisJob:
     limits: Limits = field(default_factory=Limits)
     mode: str = MODE_QUANTIFIED
     symmetry: bool = True
-    ce_strategy: str = "rebuild"  # or "reuse": specialize one template encoding
     minimize: bool = False
 
     def resolved_width(self) -> int:
@@ -177,10 +176,6 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
         cex.assert_formula(mcons)
         ce_prod = ProductionVars(ctx, mtemplate)
         cex.declare_order_cluster([ce_prod.tau[p] for p in ce_prod.paths])
-        reuse = job.ce_strategy == "reuse"
-        if reuse:
-            rce, _ = encode_produce(ctx, mtemplate, templates, prod=ce_prod)
-            cex.assert_formula(rce)
 
         iteration = 0
         while True:
@@ -212,16 +207,13 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
             model = synth.get_model(template_vars)
             rules = decode_rules(ctx, model, templates) if n > 0 else RuleSet((), k)
             if job.minimize and n > 0:
-                rules, model = _minimize(job, ctx, synth, templates, model)
+                rules = _minimize(ctx, synth, templates, model)
 
             t1 = time.monotonic()
             cex.push()
-            if reuse:
-                _assert_model_equalities(cex, ctx, model, templates)
-            else:
-                sides = [ConcreteRuleSide(ctx, r) for r in rules]
-                rce, _ = encode_produce(ctx, mtemplate, sides, prod=ce_prod)
-                cex.assert_formula(rce)
+            sides = [ConcreteRuleSide(ctx, r) for r in rules]
+            rce, _ = encode_produce(ctx, mtemplate, sides, prod=ce_prod)
+            cex.assert_formula(rce)
             label = f"query_{iteration}_cex" if cfg.dump_dir else None
             res2 = cex.check_sat(label)
             if res2 == "sat":
@@ -306,22 +298,6 @@ def _gated_verify(job, rules: RuleSet, outcome) -> Optional[VerificationReport]:
     return report
 
 
-def _assert_model_equalities(session, ctx, model, templates):
-    from .formula import BOOL, IntSort, bool_ref, enum_is, int_eq, not_
-
-    parts = []
-    for t in templates:
-        for var in t.all_vars():
-            val = model.value(var)
-            if var.sort == BOOL:
-                parts.append(bool_ref(var) if val else not_(bool_ref(var)))
-            elif isinstance(var.sort, IntSort):
-                parts.append(int_eq(var, val))
-            else:
-                parts.append(enum_is(var, val))
-    session.assert_formula(conj(parts))
-
-
 def _extract_witness(ce_model, ce_prod: ProductionVars, counterexample: Molecule):
     witness = {}
     for path, _ in counterexample.positions():
@@ -333,7 +309,7 @@ def _extract_witness(ce_model, ce_prod: ProductionVars, counterexample: Molecule
     return witness
 
 
-def _minimize(job, ctx, session, templates, model):
+def _minimize(ctx, session, templates, model):
     """Iterative cardinality tightening on the count of present rule nodes."""
     from .encoder import K_ABSENT
     from .formula import enum_is, not_
@@ -359,8 +335,7 @@ def _minimize(job, ctx, session, templates, model):
         else:
             session.pop()
             break
-    rules = decode_rules(ctx, best_model, templates)
-    return rules, best_model
+    return decode_rules(ctx, best_model, templates)
 
 
 def _present_count(ctx, model, templates) -> int:

@@ -800,8 +800,8 @@ def mol_template_correctness(ctx: EncodingContext, mt: MoleculeTemplate,
 # --------------------------------------------------------------------------
 
 
-def _exact_template_vs_tree(ctx, mt, tpath: Path, node: Optional[TreeNode],
-                            limit: int) -> list[Formula]:
+def _exact_template_vs_tree(ctx, mt, tpath: Path,
+                            node: Optional[TreeNode]) -> list[Formula]:
     """Template subtree at `tpath` equals the concrete subtree `node`."""
     parts = []
     if not mt.exists(tpath):
@@ -813,7 +813,7 @@ def _exact_template_vs_tree(ctx, mt, tpath: Path, node: Optional[TreeNode],
     parts.append(enum_is(mt.sugar[tpath], ctx.sugar_member(node.label)))
     for i in range(1, max(mt.slots(tpath), len(node.children)) + 1):
         child = node.child(i)
-        parts.extend(_exact_template_vs_tree(ctx, mt, tpath + (i,), child, limit))
+        parts.extend(_exact_template_vs_tree(ctx, mt, tpath + (i,), child))
     return parts
 
 
@@ -877,7 +877,7 @@ def repeat_rejection(ctx: EncodingContext, mt: MoleculeTemplate,
                             )
                         match.extend(
                             _exact_template_vs_tree(
-                                ctx, mt, heads[-1], mol.node_at(anchor), mt.height
+                                ctx, mt, heads[-1], mol.node_at(anchor)
                             )
                         )
                         parts.append(not_(conj(match)))
@@ -956,20 +956,6 @@ def _static_match(ctx, t: RuleTemplate, rpath: Path, mol: Molecule,
 # --------------------------------------------------------------------------
 
 
-def _template_vector(t: RuleTemplate) -> list:
-    vec = []
-    for p in t.paths:
-        vec.append(t.situation[p])
-        vec.append(t.sugar[p])
-    vec.append(t.compartment)
-    if t.fast is not None:
-        vec.append(t.fast)
-    for p in t.paths:
-        if p in t.hard_end:
-            vec.append(t.hard_end[p])
-    return vec
-
-
 def _var_lt(a: Var, b: Var) -> Formula:
     if isinstance(a.sort, EnumSort):
         members = a.sort.members
@@ -996,7 +982,7 @@ def symmetry_break(templates: list[RuleTemplate]) -> Formula:
     vectors, so permutations of one rule set admit exactly one model."""
     parts = []
     for a, b in zip(templates, templates[1:]):
-        va, vb = _template_vector(a), _template_vector(b)
+        va, vb = a.all_vars(), b.all_vars()
         tail: Formula = TRUE
         for x, y in zip(reversed(va), reversed(vb)):
             tail = disj([_var_lt(x, y), conj([_var_eq(x, y), tail])])

@@ -39,15 +39,16 @@ class SolverError(Exception):
 
 BOOL = ("Bool",)
 INT = ("Int",)
+# a check-sat that needs more MBQI rounds than this answers unknown
+MAX_MBQI_ROUNDS = 200_000
 
 
 class Universal:
-    def __init__(self, bounds, guard, body, scope_depth, full_term):
+    def __init__(self, bounds, guard, body, scope_depth):
         self.bounds = bounds  # list of (name, sort-descr, (lo, hi) or None)
         self.guard = guard
         self.body = body
         self.scope_depth = scope_depth
-        self.full_term = full_term
         self.sub = None  # lazily built sub-engine
         self.free_vars = None
 
@@ -633,7 +634,7 @@ class Engine:
                 resolved.append((name, sort, (lo_hi[0], lo_hi[1])))
             else:
                 resolved.append((name, sort, None))
-        uni = Universal(resolved, guard, real, len(self.scopes) - 1, term)
+        uni = Universal(resolved, guard, real, len(self.scopes) - 1)
         self.scopes[-1].universals.append(uni)
 
     # ------------- scopes -------------
@@ -659,7 +660,7 @@ class Engine:
             for uni in scope.universals:
                 yield uni
 
-    def check_sat(self, timeout_ms=None, max_mbqi_rounds=200_000) -> str:
+    def check_sat(self, timeout_ms=None) -> str:
         deadline = None
         if timeout_ms is not None:
             deadline = time.monotonic() + timeout_ms / 1000.0
@@ -695,7 +696,7 @@ class Engine:
             if not violated:
                 self.model_vals = snapshot
                 return "sat"
-            if rounds >= max_mbqi_rounds:
+            if rounds >= MAX_MBQI_ROUNDS:
                 return "unknown"
 
     def _find_violation(self, uni: Universal, snapshot, deadline):
@@ -745,7 +746,6 @@ class Engine:
             lit = self._bool_lit(name)
             return [lit if val == "true" else neg(lit)]
         if d == INT:
-            lo, hi = self.int_bounds[name]
             lits = []
             hi_bit = self._order_bit(name, val)
             lo_bit = self._order_bit(name, val - 1)
@@ -757,9 +757,6 @@ class Engine:
         return [self._enum_bit(name, val)]
 
     # ------------- model extraction -------------
-
-    def _lit_true(self, snapshot, lit) -> bool:
-        return snapshot[lit] == 1
 
     def _value_from(self, snapshot, name):
         d = self.decls.get(name)
@@ -822,20 +819,25 @@ def collect_symbols(term) -> set:
 
 
 def substitute(term, mapping):
-    memo = {}
+    """`term` with each symbol that `mapping` names replaced by its value."""
+    return _substitute(term, mapping, {})
 
-    def walk(t):
-        if isinstance(t, str):
-            got = mapping.get(t)
-            return t if got is None else got
-        if not isinstance(t, tuple):
-            return t
-        key = id(t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = tuple(walk(x) for x in t)
-        memo[key] = out
-        return out
 
-    return walk(term)
+def _substitute(t, mapping, memo):
+    """`substitute` below `t`, memoized by node identity.
+
+    Module-level, not a closure inside `substitute`: a recursive closure is a
+    reference cycle that keeps each call's memo alive until a collection.
+    """
+    if isinstance(t, str):
+        got = mapping.get(t)
+        return t if got is None else got
+    if not isinstance(t, tuple):
+        return t
+    key = id(t)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out = tuple([_substitute(x, mapping, memo) for x in t])
+    memo[key] = out
+    return out

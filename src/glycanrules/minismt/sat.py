@@ -364,8 +364,8 @@ class Solver:
 
     # ----- main search -----
 
-    def solve(self, assumptions=(), deadline=None, max_conflicts=None, resume=False):
-        """True = sat, False = unsat, None = resource limit reached.
+    def solve(self, assumptions=(), deadline=None, resume=False):
+        """True = sat, False = unsat, None = `deadline` passed.
 
         With `resume`, search continues from the current trail, which must
         have been left by `add_model_clauses` after a solve with the same
@@ -406,13 +406,10 @@ class Solver:
                         self.ok = False
                         return False
                 self.var_inc /= 0.95
-                if conflicts % 256 == 0:
-                    if deadline is not None and time.monotonic() > deadline:
-                        self._cancel_until(0)
-                        return None
-                    if max_conflicts is not None and conflicts >= max_conflicts:
-                        self._cancel_until(0)
-                        return None
+                if (conflicts % 256 == 0 and deadline is not None
+                        and time.monotonic() > deadline):
+                    self._cancel_until(0)
+                    return None
                 if len(self.learned_idx) > 4000 + len(self.clauses) // 4:
                     self._reduce_db()
                 continue

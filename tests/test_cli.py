@@ -3,7 +3,9 @@ import pathlib
 import subprocess
 import sys
 
-from glycanrules.cli import main
+import pytest
+
+from glycanrules.cli import _solver_config, build_parser, main
 
 
 def run_cli(args):
@@ -176,3 +178,31 @@ def test_package_runs_as_module():
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout
+
+
+def test_ce_strategy_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["synth", "d.gly", "--rules", "1", "--depth", "2",
+             "--ce-strategy", "reuse"]
+        )
+    assert exc.value.code == 2
+    assert "--ce-strategy" in capsys.readouterr().err
+
+
+def test_solver_flag_resolves_its_own_args(monkeypatch):
+    def config(*extra):
+        return _solver_config(build_parser().parse_args(
+            ["synth", "d.gly", "--rules", "1", "--depth", "2", *extra]
+        ))
+
+    monkeypatch.setenv("GLYCANRULES_SOLVER", "/usr/bin/z3")
+    monkeypatch.delenv("GLYCANRULES_SOLVER_ARGS", raising=False)
+    assert config().extra_args == ("-in", "-smt2")
+    cfg = config("--solver", "/opt/cvc5")
+    assert (cfg.executable, cfg.extra_args) == ("/opt/cvc5", ())
+    monkeypatch.delenv("GLYCANRULES_SOLVER")
+    assert config("--solver", "/opt/z3").extra_args == ("-in", "-smt2")
+    monkeypatch.setenv("GLYCANRULES_SOLVER_ARGS", "--lang smt2")
+    assert config("--solver", "/opt/cvc5").extra_args == ("--lang", "smt2")
+    assert config().executable == ""

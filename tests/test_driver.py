@@ -180,18 +180,6 @@ def test_instantiate_only_mode(motivating):
     assert out.verification.passed
 
 
-def test_reuse_ce_strategy(motivating):
-    job = SynthesisJob(
-        motivating,
-        Budgets(rules=7, depth=3),
-        limits=Limits(max_iterations=60, wall_clock_s=240),
-        ce_strategy="reuse",
-    )
-    out = synthesize(job)
-    assert out.status == SYNTHESIZED
-    assert out.verification.passed
-
-
 def test_minimize_flag():
     data = dataset("sugar A 1; sugar B 1; sugar C 0; mol A(B(C))")
     limits = Limits(max_iterations=60, wall_clock_s=90)

@@ -467,3 +467,5 @@ def test_default_config_honors_env(monkeypatch):
     monkeypatch.setenv("GLYCANRULES_SOLVER_ARGS", "--foo --bar")
     cfg = default_solver_config()
     assert cfg.extra_args == ("--foo", "--bar")
+    # arguments passed explicitly win over the environment
+    assert default_solver_config(extra_args=("-x",)).extra_args == ("-x",)

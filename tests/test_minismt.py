@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from glycanrules.minismt.engine import Engine
+from glycanrules.minismt.engine import Engine, substitute
 from glycanrules.minismt.sexpr import Reader, parse_all, unparse
 from glycanrules.minismt.__main__ import expand_lets
 
@@ -364,3 +365,18 @@ def test_timeout_returns_unknown():
     lines.append("(exit)")
     out = run_solver("\n".join(lines) + "\n")
     assert out[0] in ("unknown", "unsat")  # tiny instances may still finish
+
+
+def test_substitute_leaves_no_reference_cycles():
+    term = ("and", ("=", "x", "y"), ("or", ("not", "b"), ("<=", "x", 3)))
+    assert substitute(term, {"x": 2, "b": "true"}) == (
+        "and", ("=", 2, "y"), ("or", ("not", "true"), ("<=", 2, 3))
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for value in range(100):
+            substitute(term, {"x": value % 4})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

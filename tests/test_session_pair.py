@@ -1,9 +1,14 @@
-"""The session pair of one synthesis, and the solver's stderr in errors."""
+"""The session pair of one synthesis, the solver's stderr in errors, and the
+solver's end when `synth` gets a SIGTERM."""
 
+import contextlib
 import os
+import pathlib
 import select
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,6 +22,8 @@ from glycanrules.backend import (
 from glycanrules.driver import Budgets, Limits, SYNTHESIZED, SynthesisJob, synthesize
 from glycanrules.formula import IntSort, VarRegistry, int_eq, int_le, int_lt
 from glycanrules.grammar import parse_dataset
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def int_vars():
@@ -167,3 +174,68 @@ def test_protocol_error_quotes_solver_stderr():
     # only the last STDERR_TAIL bytes of the stderr are quoted
     assert "x" * 1000 in message and "x" * 2100 not in message
     assert message.rstrip().endswith("(check-sat)")
+
+
+# Runs `synth` with 11-pigeons-in-10-holes conjoined to the synthesis query,
+# far beyond the bundled solver, and prints the solver's process group as the
+# first query starts.
+BUSY_SYNTH = """
+import sys
+from glycanrules import backend, driver
+from glycanrules.cli import main
+from glycanrules.formula import BOOL, VarRegistry, bool_ref, conj, disj, not_
+
+reg = VarRegistry()
+x = [[reg.make(f"php_{i}_{j}", BOOL) for j in range(10)] for i in range(11)]
+parts = [disj([bool_ref(v) for v in row]) for row in x]
+for j in range(10):
+    for a in range(11):
+        for b in range(a + 1, 11):
+            parts.append(not_(conj([bool_ref(x[a][j]), bool_ref(x[b][j])])))
+pigeons = conj(parts)
+correctness = driver.rule_template_correctness
+driver.rule_template_correctness = (
+    lambda ctx, templates: conj([correctness(ctx, templates), pigeons])
+)
+check_sat = backend.Session.check_sat
+
+def announce(self, label=None):
+    print("busy", self.proc.pid, flush=True)
+    return check_sat(self, label)
+
+backend.Session.check_sat = announce
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_sigterm_stops_the_solver(tmp_path):
+    data = tmp_path / "d.gly"
+    data.write_text("sugar A 1; sugar B 0; mol A(B)")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", BUSY_SYNTH, "synth", str(data),
+         "--rules", "1", "--depth", "2", "--report", str(tmp_path / "r.txt")],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    pgid = None
+    try:
+        line = proc.stdout.readline().split()
+        assert line[:1] == ["busy"]
+        # the bundled solver leads its own process group
+        pgid = int(line[1])
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=10)
+        deadline = time.monotonic() + 2
+        while not group_gone(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert group_gone(pgid)
+        assert code == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if pgid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
