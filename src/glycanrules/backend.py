@@ -245,6 +245,8 @@ TRANSCRIPT_TAIL = 8
 STDERR_TAIL = 2048
 # the root `glycanrules` is imported from, put first on the bundled solver's path
 PACKAGE_ROOT = str(pathlib.Path(__file__).resolve().parents[1])
+# seconds a solver stopped with SIGTERM gets to exit before it is killed
+TERMINATE_GRACE_S = 1.0
 
 
 class Session:
@@ -535,6 +537,17 @@ class Session:
         finally:
             self._release()
 
+    def _terminate(self):
+        """Stop a solver that may be mid-query, without the `(exit)`
+        handshake: SIGTERM, then a kill once TERMINATE_GRACE_S has passed."""
+        try:
+            self.proc.terminate()
+            self.proc.wait(timeout=TERMINATE_GRACE_S)
+        except Exception:
+            self._kill()
+        finally:
+            self._release()
+
     def _kill(self):
         self.proc.kill()
         self.proc.wait()
@@ -550,8 +563,11 @@ class Session:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._terminate()
 
 
 def _launch(config: SolverConfig, command: list, stderr, pass_fds=()):
@@ -585,15 +601,16 @@ def _launch(config: SolverConfig, command: list, stderr, pass_fds=()):
 
 
 class _GroupPopen(subprocess.Popen):
-    """A solver leading its own process group; `kill` ends the whole group.
+    """A solver leading its own process group; `terminate` and `kill`
+    signal the whole group.
 
     The group outlives a leader that has exited while its fork still runs,
     so the group is signalled even then.
     """
 
-    def kill(self):
+    def send_signal(self, sig):
         with contextlib.suppress(ProcessLookupError):
-            os.killpg(self.pid, signal.SIGKILL)
+            os.killpg(self.pid, sig)
 
 
 class _Forked:
@@ -601,7 +618,7 @@ class _Forked:
 
     Stands in for the `Popen` of a process of its own.  Only the owner can
     reap the fork, so `wait` waits for the fork to close its output, and
-    `kill` ends the owner's process group, the fork with it.
+    `terminate` and `kill` signal the owner's process group, the fork with it.
     """
 
     def __init__(self, owner: subprocess.Popen, stdin, stdout):
@@ -623,6 +640,9 @@ class _Forked:
             if not os.read(fd, 65536):
                 self.returncode = 0
                 return 0
+
+    def terminate(self):
+        self.owner.terminate()
 
     def kill(self):
         self.owner.kill()

@@ -116,7 +116,6 @@ def run_synth(args) -> int:
         limits=Limits(max_iterations=args.max_iters, wall_clock_s=args.wall_clock),
         mode=args.mode,
         symmetry=not args.no_symmetry,
-        minimize=args.minimize,
     )
     # validate flags before any work
     job.resolved_width()
@@ -205,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="quantified")
     synth.add_argument("--no-symmetry", action="store_true",
                        help="disable template symmetry breaking")
-    synth.add_argument("--minimize", action="store_true",
-                       help="minimize the number of present rule nodes")
     synth.add_argument("--dot", default=None, help="directory for DOT renderings")
     synth.add_argument("--dump-smt", default=None,
                        help="directory for solver query transcripts")
@@ -235,7 +232,13 @@ def _exit_on_sigterm(signum, frame):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a budget failure here
+        if exc.code != 2:
+            raise
+        return 1
     # the bundled solver leads a process group of its own, which a SIGTERM to
     # the client's group misses: unwind instead, so the sessions end it
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)

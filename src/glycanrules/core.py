@@ -181,9 +181,6 @@ class Molecule:
     def positions(self) -> Iterator[tuple[Path, TreeNode]]:
         return tree_positions(self.root)
 
-    def depth(self, path: Path) -> int:
-        return len(path)
-
 
 def ancestor(m: Molecule, path: Path, d: int) -> Optional[Path]:
     """d-th ancestor of the node at `path`, or None above the root.

@@ -79,7 +79,6 @@ class SynthesisJob:
     limits: Limits = field(default_factory=Limits)
     mode: str = MODE_QUANTIFIED
     symmetry: bool = True
-    minimize: bool = False
 
     def resolved_width(self) -> int:
         w = self.budgets.width
@@ -206,8 +205,6 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                 break
             model = synth.get_model(template_vars)
             rules = decode_rules(ctx, model, templates) if n > 0 else RuleSet((), k)
-            if job.minimize and n > 0:
-                rules = _minimize(ctx, synth, templates, model)
 
             t1 = time.monotonic()
             cex.push()
@@ -307,77 +304,6 @@ def _extract_witness(ce_model, ce_prod: ProductionVars, counterexample: Molecule
         comp_v = ce_model.value(ce_prod.comp[path]) if ce_prod.comp else None
         witness[path] = (cuts_v, rmatch_v, tau_v, comp_v)
     return witness
-
-
-def _minimize(ctx, session, templates, model):
-    """Iterative cardinality tightening on the count of present rule nodes."""
-    from .encoder import K_ABSENT
-    from .formula import enum_is, not_
-
-    bits = [
-        not_(enum_is(t.situation[p], K_ABSENT)) for t in templates for p in t.paths
-    ]
-    best_model = model
-    best = _present_count(ctx, model, templates)
-    while best > 0:
-        session.push()
-        session.assert_formula(_at_most(ctx, bits, best - 1))
-        if session.check_sat() == "sat":
-            model = session.get_model(
-                [v for t in templates for v in t.all_vars()]
-            )
-            count = _present_count(ctx, model, templates)
-            session.pop()
-            if count >= best:
-                break  # no strict progress: stop rather than loop
-            best_model = model
-            best = count
-        else:
-            session.pop()
-            break
-    return decode_rules(ctx, best_model, templates)
-
-
-def _present_count(ctx, model, templates) -> int:
-    from .encoder import K_ABSENT
-
-    return sum(
-        1
-        for t in templates
-        for p in t.paths
-        if model.value(t.situation[p]) != K_ABSENT
-    )
-
-
-def _at_most(ctx, bits, bound: int):
-    """Sequential-counter cardinality constraint as a plain formula."""
-    from .formula import BOOL, bool_ref, conj as fconj, implies, not_
-
-    if bound < 0:
-        return conj([not_(b) for b in bits]) if bits else conj([])
-    if bound >= len(bits):
-        return conj([])
-    reg = ctx.registry
-    prev = None
-    parts = []
-    for i, bit in enumerate(bits):
-        row = [reg.make(f"card_{i}_{j}", BOOL) for j in range(bound + 1)]
-        parts.append(implies(bit, bool_ref(row[0])))
-        if prev is not None:
-            for j in range(bound + 1):
-                parts.append(implies(bool_ref(prev[j]), bool_ref(row[j])))
-                if j + 1 <= bound:
-                    parts.append(
-                        implies(
-                            fconj([bool_ref(prev[j]), bit]), bool_ref(row[j + 1])
-                        )
-                    )
-            parts.append(not_(fconj([bool_ref(prev[bound]), bit])))
-        prev = row
-    if prev is not None:
-        # row[bound] states "count >= bound+1": forbid it outright
-        parts.append(not_(bool_ref(prev[bound])))
-    return fconj(parts)
 
 
 # --------------------------------------------------------------------------

@@ -24,9 +24,6 @@ class EnumSort:
     name: str
     members: tuple[str, ...]
 
-    def index(self, member: str) -> int:
-        return self.members.index(member)
-
 
 BOOL = "Bool"
 Sort = Union[str, IntSort, EnumSort]
@@ -266,46 +263,45 @@ def forall(vars: Iterable[Var], body: Formula) -> Formula:
 
 def free_vars(f: Formula) -> list[Var]:
     """Free variables in deterministic first-occurrence order."""
-    seen = set()
-    out = []
-    bound_stack: list[set] = [set()]
+    out: list[Var] = []
+    _collect_free(f, frozenset(), set(), out)
+    return out
 
-    def walk(g: Formula):
-        if isinstance(g, _Const):
-            return
-        if isinstance(g, BoolRef):
-            _note(g.var)
-        elif isinstance(g, EnumEq):
-            _note(g.left)
-            if isinstance(g.right, Var):
-                _note(g.right)
-        elif isinstance(g, IntCmp):
-            for side in (g.lhs, g.rhs):
-                if isinstance(side, Var):
-                    _note(side)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Forall):
-            bound_stack.append(bound_stack[-1] | set(g.vars))
-            walk(g.body)
-            bound_stack.pop()
-        else:
-            raise TypeError(f"unknown formula node {g!r}")
 
-    def _note(v: Var):
-        if v in bound_stack[-1] or id(v) in seen:
-            return
+def _collect_free(g: Formula, bound: frozenset, seen: set, out: list):
+    """Append the free variables below `g` whose ids `seen` lacks to `out`.
+
+    Module-level for the reason `_substitute` is.
+    """
+    if isinstance(g, _Const):
+        return
+    if isinstance(g, BoolRef):
+        _note_free(g.var, bound, seen, out)
+    elif isinstance(g, EnumEq):
+        _note_free(g.left, bound, seen, out)
+        _note_free(g.right, bound, seen, out)
+    elif isinstance(g, IntCmp):
+        _note_free(g.lhs, bound, seen, out)
+        _note_free(g.rhs, bound, seen, out)
+    elif isinstance(g, Not):
+        _collect_free(g.arg, bound, seen, out)
+    elif isinstance(g, (And, Or)):
+        for a in g.args:
+            _collect_free(a, bound, seen, out)
+    elif isinstance(g, (Implies, Iff)):
+        _collect_free(g.left, bound, seen, out)
+        _collect_free(g.right, bound, seen, out)
+    elif isinstance(g, Forall):
+        _collect_free(g.body, bound | set(g.vars), seen, out)
+    else:
+        raise TypeError(f"unknown formula node {g!r}")
+
+
+def _note_free(v, bound: frozenset, seen: set, out: list):
+    # an EnumEq right side may be a member name, an IntCmp side a constant
+    if isinstance(v, Var) and v not in bound and id(v) not in seen:
         seen.add(id(v))
         out.append(v)
-
-    walk(f)
-    return out
 
 
 def substitute(f: Formula, binding: dict) -> Formula:
@@ -416,13 +412,8 @@ class VarRegistry:
     def __init__(self, namespace: str = ""):
         self.namespace = namespace
         self.counter = 0
-        self.manifest: dict[str, str] = {}
-        self.vars: list[Var] = []
 
     def make(self, role: str, sort: Sort) -> Var:
         name = f"{self.namespace}v{self.counter}_{role}"
         self.counter += 1
-        var = Var(name, sort)
-        self.manifest[name] = role
-        self.vars.append(var)
-        return var
+        return Var(name, sort)

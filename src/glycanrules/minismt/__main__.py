@@ -9,11 +9,15 @@ command), echo, reset, exit.
 are inherited pipe descriptors of a second session.  After import the
 process forks; the fork serves the second session on IN/OUT and the parent
 serves the first on stdin/stdout, then reaps the fork before it exits.
+
+The first SIGTERM ends a process with exit status 143 by unwinding, mid-query
+too; later ones are ignored, so the parent still reaps its fork.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import sys
 
 from .engine import Engine, SolverError
@@ -175,6 +179,8 @@ def serve_pair(in_fd: int, out_fd: int) -> int:
             os.close(null)
             with open(in_fd) as inp, open(out_fd, "w") as out:
                 code = serve(inp, out)
+        except SystemExit as exc:
+            code = exc.code
         except BaseException:
             sys.excepthook(*sys.exc_info())
         finally:
@@ -188,8 +194,14 @@ def serve_pair(in_fd: int, out_fd: int) -> int:
         os.waitpid(pid, 0)
 
 
+def _exit_on_sigterm(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     if args[:1] == ["--internal-fork"]:
         in_fd, out_fd = (int(fd) for fd in args[1].split(","))
         return serve_pair(in_fd, out_fd)

@@ -111,7 +111,6 @@ class DerivationStep:
 @dataclass
 class ClosureResult:
     molecules: dict  # canonical string -> Molecule, final stage
-    stages: list  # per-compartment dict of canonical -> Molecule
     witnesses: dict  # canonical -> DerivationStep for first derivations
     pruned: bool = False  # some extension exceeded the height bound
 
@@ -141,18 +140,16 @@ def closure(seeds, rs: RuleSet, cfg: ClosureConfig) -> ClosureResult:
     flagged.  Under fast/slow semantics a slow rule extends a molecule only
     when no fast rule of the same compartment applies anywhere on it.
     """
-    current = {}
+    seen = {}
     witnesses = {}
     pruned = False
     for mol in seeds:
         if mol.height <= cfg.height_bound:
-            current[serialize_molecule(mol)] = mol
+            seen[serialize_molecule(mol)] = mol
         else:
             pruned = True
-    stages = []
     for comp in range(1, rs.compartment_count + 1):
         rules = rs.in_compartment(comp)
-        seen = dict(current)
         heap = [(mol.node_count, key) for key, mol in seen.items()]
         heapq.heapify(heap)
         while heap:
@@ -177,9 +174,7 @@ def closure(seeds, rs: RuleSet, cfg: ClosureConfig) -> ClosureResult:
                 seen[rkey] = result
                 witnesses.setdefault(rkey, DerivationStep(key, rule, path, slot, comp))
                 heapq.heappush(heap, (result.node_count, rkey))
-        stages.append(seen)
-        current = seen
-    return ClosureResult(current, stages, witnesses, pruned)
+    return ClosureResult(seen, witnesses, pruned)
 
 
 def _same(a: Optional[TreeNode], b: Optional[TreeNode]) -> bool:

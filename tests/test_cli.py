@@ -190,6 +190,18 @@ def test_ce_strategy_flag_is_gone(capsys):
     assert "--ce-strategy" in capsys.readouterr().err
 
 
+def test_minimize_flag_is_gone_and_usage_errors_exit_one(dataset_dir, capsys):
+    # exit 2 means "no rule set in budget"; a stale flag must not read as that
+    code = run_cli(
+        ["synth", str(dataset_dir / "motivating.gly"), "--rules", "1",
+         "--depth", "2", "--minimize"]
+    )
+    assert code == 1
+    assert "--minimize" in capsys.readouterr().err
+    assert run_cli(["synth", str(dataset_dir / "motivating.gly")]) == 1
+    assert "--rules" in capsys.readouterr().err
+
+
 def test_solver_flag_resolves_its_own_args(monkeypatch):
     def config(*extra):
         return _solver_config(build_parser().parse_args(

@@ -180,29 +180,6 @@ def test_instantiate_only_mode(motivating):
     assert out.verification.passed
 
 
-def test_minimize_flag():
-    data = dataset("sugar A 1; sugar B 1; sugar C 0; mol A(B(C))")
-    limits = Limits(max_iterations=60, wall_clock_s=90)
-    minimized = synthesize(
-        SynthesisJob(data, Budgets(rules=2, depth=3), limits=limits, minimize=True)
-    )
-    plain = synthesize(
-        SynthesisJob(data, Budgets(rules=2, depth=3), limits=limits)
-    )
-    assert minimized.status == plain.status == SYNTHESIZED
-
-    def count(rs):
-        return sum(_rule_size(r) for r in rs)
-
-    assert count(minimized.rules) <= count(plain.rules)
-
-
-def _rule_size(rule):
-    from glycanrules.core import tree_size
-
-    return tree_size(rule.root)
-
-
 def test_budget_validation():
     data = dataset("sugar A 2; sugar B 0; mol A(B, _)")
     with pytest.raises(ValueError):

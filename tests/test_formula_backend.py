@@ -446,6 +446,7 @@ def test_substitute_leaves_no_reference_cycles():
     try:
         for value in range(100):
             substitute(f, {x: value % 4})
+            free_vars(forall([x], f))
         assert gc.collect() == 0
     finally:
         gc.enable()
