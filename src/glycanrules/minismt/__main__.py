@@ -3,7 +3,9 @@
 Reads commands, answers on stdout; supports the fragment the session layer
 emits: set-logic/set-option/set-info, declare-datatypes (enumerations only),
 declare-fun (zero-ary), assert, check-sat, get-value, push/pop (one level per
-command), echo, reset, exit.
+command), echo, reset, exit.  `(get-info :all-statistics)` reports the
+engine's work counters (`Engine.statistics`); any other key gets the solver's
+name.
 
 `--internal-fork IN,OUT` is internal to `backend.Session.pair`: IN and OUT
 are inherited pipe descriptors of a second session.  After import the
@@ -98,6 +100,9 @@ class Session:
             elif head == "exit":
                 self.success()
                 self.done = True
+            elif head == "get-info" and form[1] == ":all-statistics":
+                stats = self.engine.statistics()
+                self.reply("(" + " ".join(f"{k} {v}" for k, v in stats) + ")")
             elif head == "get-info":
                 self.reply(f'({form[1]} "glycanrules-minismt")')
             else:

@@ -41,6 +41,8 @@ BOOL = ("Bool",)
 INT = ("Int",)
 # a check-sat that needs more MBQI rounds than this answers unknown
 MAX_MBQI_ROUNDS = 200_000
+# SAT work counters `statistics` adds up over the main and the sub-solvers
+SEARCH_STATS = ("decisions", "conflicts", "undone", "restarts", "learned")
 
 
 class Universal:
@@ -79,6 +81,10 @@ class Engine:
         self.scopes = [Scope(None)]
         self.model_vals: list | None = None
         self.is_sub = is_sub
+        self.mbqi_rounds = 0
+        self.instances = 0
+        self.violation_solves = 0
+        self.popped_work = dict.fromkeys(SEARCH_STATS + ("clauses", "vars"), 0)
 
     # ------------- declarations -------------
 
@@ -647,6 +653,10 @@ class Engine:
         if len(self.scopes) == 1:
             raise SolverError("pop at depth 0")
         scope = self.scopes.pop()
+        for uni in scope.universals:
+            if uni.sub is not None:
+                for key, count in _work(uni.sub.sat).items():
+                    self.popped_work[key] += count
         self.sat.add_clause([neg(2 * scope.selector)])
         self.model_vals = None
 
@@ -690,12 +700,14 @@ class Engine:
                     lit = self._lower_root(inst)
                     guard = [] if sel is None else [neg(2 * sel)]
                     self.sat.add_clause(guard + [lit])
+                    self.instances += 1
                     violated = True
                     rounds += 1
                     break
             if not violated:
                 self.model_vals = snapshot
                 return "sat"
+            self.mbqi_rounds += 1
             if rounds >= MAX_MBQI_ROUNDS:
                 return "unknown"
 
@@ -729,6 +741,7 @@ class Engine:
         for name in uni.free_vars:
             val = self._value_from(snapshot, name)
             assumptions.extend(sub._value_assumptions(name, val))
+        self.violation_solves += 1
         res = sub.sat.solve(assumptions, deadline=deadline)
         if res is None:
             return "unknown"
@@ -798,10 +811,41 @@ class Engine:
                 count += 1
         return lo + count
 
+    def statistics(self) -> list:
+        """(keyword, count) pairs for `(get-info :all-statistics)`.
+
+        Decisions, conflicts, undone assignments, restarts, learned and
+        problem clauses and variables add up the main SAT solver and every
+        violation sub-solver, those of popped universals included.  Solves
+        count the main solver's calls, and resumed solves those of them that
+        searched on from a kept trail.
+        """
+        work = dict(self.popped_work)
+        for uni in self._active_universals():
+            if uni.sub is not None:
+                for key, count in _work(uni.sub.sat).items():
+                    work[key] += count
+        for key, count in _work(self.sat).items():
+            work[key] += count
+        return [(f":{key}", count) for key, count in work.items()] + [
+            (":solves", self.sat.solves),
+            (":resumed-solves", self.sat.resumed),
+            (":mbqi-rounds", self.mbqi_rounds),
+            (":instances", self.instances),
+            (":violation-solves", self.violation_solves),
+        ]
+
     def get_values(self, names):
         if self.model_vals is None:
             raise SolverError("no model available")
         return [(n, self._value_from(self.model_vals, n)) for n in names]
+
+
+def _work(solver: Solver) -> dict:
+    work = {key: getattr(solver, key) for key in SEARCH_STATS}
+    work["clauses"] = len(solver.clauses) - solver.learned
+    work["vars"] = solver.nvars
+    return work
 
 
 def collect_symbols(term) -> set:

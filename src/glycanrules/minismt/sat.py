@@ -40,6 +40,14 @@ class Solver:
         self.heap_pos: list[int] = []
         self.ok = True
         self.nvars = 0
+        # work counters, read by `Engine.statistics`
+        self.decisions = 0
+        self.conflicts = 0
+        self.undone = 0  # assignments taken back by backjumps and restarts
+        self.restarts = 0
+        self.learned = 0  # learned clauses stored (learned units are not)
+        self.solves = 0
+        self.resumed = 0
         self.true_lit = 2 * self.new_var()
         self._enqueue(self.true_lit, -1)
 
@@ -200,6 +208,7 @@ class Solver:
             self._enqueue(self.clauses[ci][0], ci)
 
     def _add_learned(self, lits) -> int:
+        self.learned += 1
         ci = len(self.clauses)
         self.clauses.append(lits)
         self.learned_idx.append(ci)
@@ -281,6 +290,7 @@ class Solver:
         if len(self.trail_lim) <= target:
             return
         bound = self.trail_lim[target]
+        self.undone += len(self.trail) - bound
         for idx in range(len(self.trail) - 1, bound - 1, -1):
             lit = self.trail[idx]
             v = var_of(lit)
@@ -371,9 +381,12 @@ class Solver:
         have been left by `add_model_clauses` after a solve with the same
         assumptions.
         """
+        self.solves += 1
         if not self.ok:
             return False
-        if not resume:
+        if resume:
+            self.resumed += 1
+        else:
             self._cancel_until(0)
             if self.propagate() != -1:
                 self.ok = False
@@ -386,6 +399,7 @@ class Solver:
         while True:
             conf = self.propagate()
             if conf != -1:
+                self.conflicts += 1
                 conflicts += 1
                 since_restart += 1
                 if len(self.trail_lim) <= len(assumptions):
@@ -414,6 +428,7 @@ class Solver:
                     self._reduce_db()
                 continue
             if since_restart >= restart_budget:
+                self.restarts += 1
                 since_restart = 0
                 luby_idx += 1
                 restart_budget = 128 * _luby(luby_idx)
@@ -434,6 +449,7 @@ class Solver:
             v = self._pick_branch()
             if v == -1:
                 return True
+            self.decisions += 1
             self.trail_lim.append(len(self.trail))
             lit = 2 * v + (0 if self.phase[v] else 1)
             self._enqueue(lit, -1)

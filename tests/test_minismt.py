@@ -380,3 +380,33 @@ def test_substitute_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+STAT_KEYS = [":decisions", ":conflicts", ":undone", ":restarts", ":learned",
+             ":clauses", ":vars", ":solves", ":resumed-solves", ":mbqi-rounds",
+             ":instances", ":violation-solves"]
+
+
+def test_all_statistics_repeat_on_a_replayed_transcript(dataset_dir, tmp_path):
+    """A dumped synthesis transcript replays to the same work counters."""
+    from glycanrules.backend import default_solver_config
+    from glycanrules.driver import Budgets, SynthesisJob, synthesize
+    from glycanrules.grammar import parse_dataset
+
+    data = parse_dataset((dataset_dir / "compartments_pair.gly").read_text())
+    job = SynthesisJob(data, Budgets(3, 2, compartments=2),
+                       solver=default_solver_config(dump_dir=str(tmp_path)))
+    assert synthesize(job).status == "Synthesized"
+    transcript = max(tmp_path.glob("query_*_synth.smt2"),
+                     key=lambda p: int(p.name.split("_")[1])).read_text()
+    script = transcript + "(get-info :all-statistics)\n(get-info :name)\n(exit)\n"
+    # each replay is a fresh process with its own hash seed
+    first, second = run_solver(script), run_solver(script)
+    assert first == second
+    assert first[-1] == '(:name "glycanrules-minismt")'
+    stats = parse_all(first[-2])[0]
+    counts = dict(zip(stats[::2], stats[1::2]))
+    assert list(counts) == STAT_KEYS
+    assert all(isinstance(n, int) and n >= 0 for n in counts.values())
+    assert counts[":mbqi-rounds"] > 0 and counts[":violation-solves"] > 0
+    assert counts[":decisions"] > 0 and counts[":undone"] > 0
