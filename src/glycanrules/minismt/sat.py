@@ -67,27 +67,26 @@ class Solver:
         return v
 
     # ----- activity heap (max by activity, ties by smaller index) -----
-
-    def _heap_less(self, a: int, b: int) -> bool:
-        if self.activity[a] != self.activity[b]:
-            return self.activity[a] > self.activity[b]
-        return a < b
+    # u goes above w when activity[u] > activity[w], or equal and u < w; the
+    # hot paths compare inline rather than through a method.
 
     def _heap_insert(self, v: int):
         if self.heap_pos[v] != -1:
             return
         self.heap.append(v)
-        self.heap_pos[v] = len(self.heap) - 1
         self._heap_up(len(self.heap) - 1)
 
     def _heap_up(self, i: int):
-        heap, pos = self.heap, self.heap_pos
+        heap, pos, activity = self.heap, self.heap_pos, self.activity
         v = heap[i]
+        act = activity[v]
         while i > 0:
             parent = (i - 1) >> 1
-            if self._heap_less(v, heap[parent]):
-                heap[i] = heap[parent]
-                pos[heap[i]] = i
+            u = heap[parent]
+            au = activity[u]
+            if act > au or (act == au and v < u):
+                heap[i] = u
+                pos[u] = i
                 i = parent
             else:
                 break
@@ -95,36 +94,29 @@ class Solver:
         pos[v] = i
 
     def _heap_down(self, i: int):
-        heap, pos = self.heap, self.heap_pos
+        heap, pos, activity = self.heap, self.heap_pos, self.activity
         v = heap[i]
+        act = activity[v]
         size = len(heap)
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            right = left + 1
-            child = left
-            if right < size and self._heap_less(heap[right], heap[left]):
-                child = right
-            if self._heap_less(heap[child], v):
-                heap[i] = heap[child]
-                pos[heap[i]] = i
+        child = 2 * i + 1
+        while child < size:
+            c = heap[child]
+            ac = activity[c]
+            right = child + 1
+            if right < size:
+                r = heap[right]
+                ar = activity[r]
+                if ar > ac or (ar == ac and r < c):
+                    child, c, ac = right, r, ar
+            if ac > act or (ac == act and c < v):
+                heap[i] = c
+                pos[c] = i
                 i = child
+                child = 2 * i + 1
             else:
                 break
         heap[i] = v
         pos[v] = i
-
-    def _heap_pop(self) -> int:
-        heap, pos = self.heap, self.heap_pos
-        top = heap[0]
-        last = heap.pop()
-        pos[top] = -1
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._heap_down(0)
-        return top
 
     def _bump(self, v: int):
         self.activity[v] += self.var_inc
@@ -235,74 +227,93 @@ class Solver:
 
     def propagate(self) -> int:
         """Returns a conflicting clause index or -1."""
-        clauses = self.clauses
-        litval = self.litval
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = lit ^ 1
-            watchers = self.watches[falsified]
-            i = 0
+        clauses, litval, watches = self.clauses, self.litval, self.watches
+        trail, level, reason, phase = self.trail, self.level, self.reason, self.phase
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[falsified]
             kept = []
-            conflict = -1
+            keep = kept.append
             n = len(watchers)
+            i = 0
             while i < n:
                 ci = watchers[i]
                 i += 1
                 clause = clauses[ci]
                 if clause is None:
                     continue
-                if clause[0] == falsified:
-                    clause[0] = clause[1]
-                    clause[1] = falsified
                 first = clause[0]
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
                 if litval[first] == 1:
-                    kept.append(ci)
+                    keep(ci)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if litval[clause[k]] != -1:
-                        clause[1] = clause[k]
+                    other = clause[k]
+                    if litval[other] != -1:
+                        clause[1] = other
                         clause[k] = falsified
-                        self.watches[clause[1]].append(ci)
-                        moved = True
+                        watches[other].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if litval[first] == -1:
-                    kept.extend(watchers[i:n])
-                    conflict = ci
-                    break
-                self.litval[first] = 1
-                self.litval[neg(first)] = -1
-                v = var_of(first)
-                self.level[v] = len(self.trail_lim)
-                self.reason[v] = ci
-                self.phase[v] = not (first & 1)
-                self.trail.append(first)
-            self.watches[falsified] = kept
-            if conflict != -1:
-                return conflict
+                else:
+                    keep(ci)
+                    if litval[first] == -1:
+                        kept.extend(watchers[i:n])
+                        watches[falsified] = kept
+                        self.qhead = qhead
+                        return ci
+                    litval[first] = 1
+                    litval[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = depth
+                    reason[v] = ci
+                    phase[v] = not (first & 1)
+                    trail.append(first)
+            watches[falsified] = kept
+        self.qhead = qhead
         return -1
 
     def _cancel_until(self, target: int):
-        if len(self.trail_lim) <= target:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target:
             return
-        bound = self.trail_lim[target]
-        self.undone += len(self.trail) - bound
-        for idx in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[idx]
-            v = var_of(lit)
-            self.litval[lit] = 0
-            self.litval[neg(lit)] = 0
-            self.reason[v] = -1
-            self.level[v] = -1
-            if self.heap_pos[v] == -1:
-                self._heap_insert(v)
-        del self.trail[bound:]
-        del self.trail_lim[target:]
-        self.qhead = len(self.trail)
+        trail = self.trail
+        bound = trail_lim[target]
+        self.undone += len(trail) - bound
+        litval, level, reason = self.litval, self.level, self.reason
+        heap, pos, activity = self.heap, self.heap_pos, self.activity
+        for idx in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[idx]
+            v = lit >> 1
+            litval[lit] = 0
+            litval[lit ^ 1] = 0
+            reason[v] = -1
+            level[v] = -1
+            if pos[v] == -1:
+                # _heap_insert, inline
+                i = len(heap)
+                heap.append(v)
+                act = activity[v]
+                while i > 0:
+                    parent = (i - 1) >> 1
+                    u = heap[parent]
+                    au = activity[u]
+                    if act > au or (act == au and v < u):
+                        heap[i] = u
+                        pos[u] = i
+                        i = parent
+                    else:
+                        break
+                heap[i] = v
+                pos[v] = i
+        del trail[bound:]
+        del trail_lim[target:]
+        self.qhead = bound
 
     # ----- conflict analysis -----
 
@@ -455,11 +466,17 @@ class Solver:
             self._enqueue(lit, -1)
 
     def _pick_branch(self) -> int:
-        while self.heap:
-            v = self.heap[0]
-            if self.litval[2 * v] == 0:
-                return self._heap_pop()
-            self._heap_pop()
+        """Pop the heap down to its first unassigned variable, or -1."""
+        heap, pos, litval = self.heap, self.heap_pos, self.litval
+        while heap:
+            top = heap[0]
+            last = heap.pop()
+            pos[top] = -1
+            if heap:
+                heap[0] = last
+                self._heap_down(0)
+            if litval[2 * top] == 0:
+                return top
         return -1
 
     def value(self, v: int) -> bool:
