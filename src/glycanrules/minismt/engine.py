@@ -7,10 +7,12 @@ finite-sorted bound variables whose body is (=> <range-guard> <body>).
 
 Ground formulas are lowered to CNF (Tseitin with polarity, one-hot enums,
 order-encoded integers) over an incremental CDCL core.  Universals are
-checked model-by-model: each candidate model is tested per universal by a
-dedicated sub-engine solving for a violating instantiation; found witnesses
-are asserted as ground instances until none remain (finite domains guarantee
-termination).
+checked model-by-model (MBQI): each candidate model is tested against every
+active universal by a dedicated sub-engine solving for a violating
+instantiation.  One round lowers the instances of all the witnesses found,
+adds their clauses to the model with `Solver.add_model_clauses`, and resumes
+the search from the trail they leave standing; rounds repeat until no
+universal is violated (finite domains guarantee termination).
 
 Integer variables named in a `(set-info :order-cluster (...))` hint are
 lowered as a strict weak order via pairwise precedence Booleans instead of
@@ -64,6 +66,9 @@ class Scope:
 class Engine:
     def __init__(self, is_sub=False):
         self.sat = Solver()
+        # where lowering sends its clauses: the solver, or the buffer of
+        # `_lower_instances`
+        self.add_clause = self.sat.add_clause
         self.enums: dict[str, tuple] = {}
         self.member_sort: dict[str, str] = {}
         self.decls: dict[str, tuple] = {}
@@ -218,10 +223,10 @@ class Engine:
             v = self.sat.new_var()
             self.enum_bits[(name, m)] = v
             bits.append(2 * v)
-        self.sat.add_clause(bits)  # at least one
+        self.add_clause(bits)  # at least one
         for i in range(len(bits)):
             for j in range(i + 1, len(bits)):
-                self.sat.add_clause([neg(bits[i]), neg(bits[j])])
+                self.add_clause([neg(bits[i]), neg(bits[j])])
         return 2 * self.enum_bits[key]
 
     def _order_bit(self, name: str, k: int) -> int:
@@ -238,7 +243,7 @@ class Engine:
                 v = self.sat.new_var()
                 self.order_bits[(name, kk)] = v
                 if prev is not None:
-                    self.sat.add_clause([neg(2 * prev), 2 * v])
+                    self.add_clause([neg(2 * prev), 2 * v])
                 prev = v
             bit = self.order_bits[(name, k)]
         return 2 * bit
@@ -299,11 +304,11 @@ class Engine:
         for k in range(lb, hb + 1):
             # lit -> (b <= k -> a <= k-1)
             cl = [neg(lit), neg(self._order_bit(b, k)), self._order_bit(a, k - 1)]
-            self.sat.add_clause(cl)
+            self.add_clause(cl)
         for k in range(la, ha + 1):
             # ¬lit -> (a <= k -> b <= k)
             cl = [lit, neg(self._order_bit(a, k)), self._order_bit(b, k)]
-            self.sat.add_clause(cl)
+            self.add_clause(cl)
         return lit
 
     def _atom_int_eq_const(self, name: str, c: int) -> int:
@@ -326,9 +331,9 @@ class Engine:
             others = [x for x in self.clusters[self.cluster_of[name]] if x != name]
             long_cl = [lit]
             for z in others:
-                self.sat.add_clause([neg(lit), neg(2 * self.p_vars[(z, name)])])
+                self.add_clause([neg(lit), neg(2 * self.p_vars[(z, name)])])
                 long_cl.append(2 * self.p_vars[(z, name)])
-            self.sat.add_clause(long_cl)
+            self.add_clause(long_cl)
             return lit
         hi_side = self._order_bit(name, c)
         lo_side = neg(self._order_bit(name, c - 1))
@@ -343,9 +348,9 @@ class Engine:
         v = self.sat.new_var()
         lit = 2 * v
         self.aux[key] = lit
-        self.sat.add_clause([neg(lit), hi_side])
-        self.sat.add_clause([neg(lit), lo_side])
-        self.sat.add_clause([lit, neg(hi_side), neg(lo_side)])
+        self.add_clause([neg(lit), hi_side])
+        self.add_clause([neg(lit), lo_side])
+        self.add_clause([lit, neg(hi_side), neg(lo_side)])
         return lit
 
     def _atom_enum_eq(self, a, b) -> int:
@@ -378,13 +383,13 @@ class Engine:
         for m in members:
             xa = self._enum_bit(a, m)
             xb = self._enum_bit(b, m)
-            self.sat.add_clause([neg(lit), neg(xa), xb])
-            self.sat.add_clause([neg(lit), xa, neg(xb)])
+            self.add_clause([neg(lit), neg(xa), xb])
+            self.add_clause([neg(lit), xa, neg(xb)])
             u = 2 * self.sat.new_var()
-            self.sat.add_clause([neg(u), xa])
-            self.sat.add_clause([neg(u), neg(xb)])
+            self.add_clause([neg(u), xa])
+            self.add_clause([neg(u), neg(xb)])
             diff_lits.append(u)
-        self.sat.add_clause(diff_lits)
+        self.add_clause(diff_lits)
         return lit
 
     # ------------- tseitin lowering -------------
@@ -425,8 +430,8 @@ class Engine:
                 else:
                     v = 2 * self.sat.new_var()
                     for a in args:
-                        self.sat.add_clause([neg(v), a])
-                    self.sat.add_clause([v] + [neg(a) for a in args])
+                        self.add_clause([neg(v), a])
+                    self.add_clause([v] + [neg(a) for a in args])
                     lit = v
             else:
                 args = [a for a in args if a != neg(self.sat.true_lit)]
@@ -439,8 +444,8 @@ class Engine:
                 else:
                     v = 2 * self.sat.new_var()
                     for a in args:
-                        self.sat.add_clause([neg(a), v])
-                    self.sat.add_clause([neg(v)] + list(args))
+                        self.add_clause([neg(a), v])
+                    self.add_clause([neg(v)] + list(args))
                     lit = v
         elif head == "=>":
             # right-associative chain
@@ -487,10 +492,10 @@ class Engine:
                     lit = neg(self.sat.true_lit)
                 else:
                     v = 2 * self.sat.new_var()
-                    self.sat.add_clause([neg(v), neg(la), lb])
-                    self.sat.add_clause([neg(v), la, neg(lb)])
-                    self.sat.add_clause([v, la, lb])
-                    self.sat.add_clause([v, neg(la), neg(lb)])
+                    self.add_clause([neg(v), neg(la), lb])
+                    self.add_clause([neg(v), la, neg(lb)])
+                    self.add_clause([v, la, lb])
+                    self.add_clause([v, neg(la), neg(lb)])
                     lit = v
         elif head == "ite":
             c, t, e = term[1], term[2], term[3]
@@ -689,27 +694,40 @@ class Engine:
             resume = self._refine_clusters(snapshot)
             if resume:
                 continue
-            violated = False
+            found = []
             for uni in self._active_universals():
                 wit = self._find_violation(uni, snapshot, deadline)
                 if wit == "unknown":
                     return "unknown"
                 if wit is not None:
-                    inst = substitute(uni.body, wit)
-                    sel = self.scopes[uni.scope_depth].selector
-                    lit = self._lower_root(inst)
-                    guard = [] if sel is None else [neg(2 * sel)]
-                    self.sat.add_clause(guard + [lit])
-                    self.instances += 1
-                    violated = True
-                    rounds += 1
-                    break
-            if not violated:
+                    found.append((uni, wit))
+            if not found:
                 self.model_vals = snapshot
                 return "sat"
             self.mbqi_rounds += 1
+            self.instances += len(found)
+            self.sat.add_model_clauses(self._lower_instances(found))
+            resume = True
+            rounds += 1
             if rounds >= MAX_MBQI_ROUNDS:
                 return "unknown"
+
+    def _lower_instances(self, found) -> list:
+        """Clauses of the instances (universal, witness) in `found`.
+
+        Lowering buffers its clauses instead of adding them, so that
+        `Solver.add_model_clauses` can add them all to the current model.
+        """
+        clauses = []
+        self.add_clause = clauses.append
+        try:
+            for uni, wit in found:
+                lit = self._lower_root(substitute(uni.body, wit))
+                sel = self.scopes[uni.scope_depth].selector
+                clauses.append([lit] if sel is None else [neg(2 * sel), lit])
+        finally:
+            self.add_clause = self.sat.add_clause
+        return clauses
 
     def _find_violation(self, uni: Universal, snapshot, deadline):
         if uni.sub is None:

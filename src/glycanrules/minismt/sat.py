@@ -1,12 +1,17 @@
 """Deterministic CDCL SAT solver with assumptions and incremental clauses.
 
 Literals are ints: variable v (0-based) gives 2*v for the positive literal and
-2*v+1 for the negative one.  `add_clause` backtracks to decision level 0;
-`add_model_clauses` keeps the part of a model's trail its clauses allow, for
-`solve(resume=True)` to search on from.  `solve` accepts assumption literals
-that are decided first, so scoped assertions can be switched with selector
-variables.  All heuristics (activity ordering, phase saving, Luby restarts)
-break ties by variable index, so runs are reproducible.
+2*v+1 for the negative one.  There are two ways in for clauses.  `add_clause`
+backtracks to decision level 0, which drops any model on the trail; the engine
+uses it for assertions.  `add_model_clauses` adds a batch to the model `solve`
+just found and keeps the part of its trail the batch allows, for
+`solve(resume=True)` to search on from; the engine uses it for lazily added
+order axioms and for each MBQI round's instances.  A one-literal clause added
+that way above level 0 is asserted at the current level and again after every
+backjump below it, until the search is back at level 0.  `solve` accepts
+assumption literals that are decided first, so scoped assertions can be
+switched with selector variables.  All heuristics (activity ordering, phase
+saving, Luby restarts) break ties by variable index, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ class Solver:
         self.phase: list[bool] = []
         self.heap: list[int] = []
         self.heap_pos: list[int] = []
+        self.units: list[int] = []  # reasons of units `_reassert_units` keeps
         self.ok = True
         self.nvars = 0
         # work counters, read by `Engine.statistics`
@@ -137,15 +143,9 @@ class Solver:
         self._cancel_until(0)
         if not self.ok:
             return False
-        seen = set()
-        out = []
-        for lit in lits:
-            if self.litval[lit] == 1 or neg(lit) in seen:
-                return True  # satisfied or tautological
-            if self.litval[lit] == -1 or lit in seen:
-                continue
-            seen.add(lit)
-            out.append(lit)
+        out = self._normalised(lits)
+        if out is None:
+            return True
         if not out:
             self.ok = False
             return False
@@ -161,43 +161,100 @@ class Solver:
         self.watches[out[1]].append(ci)
         return True
 
+    def _normalised(self, lits):
+        """`lits` without repeats and literals false at level 0; None if the
+        clause is true at level 0 or a tautology."""
+        litval, level = self.litval, self.level
+        seen = set()
+        out = []
+        for lit in lits:
+            fixed = level[lit >> 1] == 0
+            if (fixed and litval[lit] == 1) or lit ^ 1 in seen:
+                return None
+            if (fixed and litval[lit] == -1) or lit in seen:
+                continue
+            seen.add(lit)
+            out.append(lit)
+        return out
+
     def add_model_clauses(self, clauses):
         """Add clauses over the variables of the model `solve` just found.
 
-        Each clause has two or more literals over distinct variables.  Only
-        the decision levels the clauses need are undone: back to just below
-        the highest level of each clause the model falsifies.  A clause left
-        with one unassigned literal propagates it.  `solve` with `resume=True`
-        and the same assumptions then searches on from the kept trail instead
-        of from level 0.
+        Each clause is first normalised as `add_clause` does.  Only the
+        decision levels the clauses need are undone: back to just below the
+        highest level of each clause the model falsifies.  A clause left with
+        one unassigned literal propagates it.  A one-literal clause is
+        asserted at the current level and again after every backjump below
+        it (`_reassert_units`), until the solver is back at level 0.  `solve`
+        with `resume=True` and the same assumptions then searches on from the
+        kept trail instead of from level 0.
         """
+        kept = []
+        for lits in clauses:
+            out = self._normalised(lits)
+            if out is None:
+                continue
+            if not out:
+                self.ok = False  # falsified at level 0
+                return
+            kept.append(out)
         litval, level = self.litval, self.level
         target = len(self.trail_lim)
-        for lits in clauses:
-            if all(litval[lit] == -1 for lit in lits):
-                target = min(target, max(level[var_of(lit)] for lit in lits) - 1)
-        if target < 0:
-            self.ok = False  # falsified at level 0
-            return
+        for out in kept:
+            if all(litval[lit] == -1 for lit in out):
+                # above 0: literals false at level 0 are gone
+                target = min(target, max(level[lit >> 1] for lit in out) - 1)
         self._cancel_until(target)
         # every clause now has a literal that is not false; watch it and the
         # next best, before any unit is enqueued
-        units = []
-        for lits in clauses:
-            # non-false literals first, then false ones from the highest level
-            out = sorted(
-                lits, key=lambda lit: (litval[lit] == -1, -level[var_of(lit)])
-            )
+        implied = []
+        for out in kept:
             ci = len(self.clauses)
+            if len(out) == 1:
+                # the unit's reason; watching ¬true leaves it to
+                # `_reassert_units` to assert the unit after a backjump
+                out.append(self.true_lit ^ 1)
+                self.units.append(ci)
+            else:
+                # non-false literals first, then false ones from the highest
+                # level
+                out.sort(key=lambda lit: (litval[lit] == -1, -level[lit >> 1]))
+                if litval[out[1]] == -1 and litval[out[0]] == 0:
+                    implied.append(ci)
             self.clauses.append(out)
             self.watches[out[0]].append(ci)
             self.watches[out[1]].append(ci)
-            if litval[out[1]] == -1 and litval[out[0]] == 0:
-                units.append(ci)
         # a unit made false by an earlier one is a conflict that `propagate`
         # finds, since the earlier literal waits in the queue
-        for ci in units:
+        for ci in implied:
             self._enqueue(self.clauses[ci][0], ci)
+
+    def _reassert_units(self) -> bool:
+        """Enqueue the unassigned units of `add_model_clauses`.
+
+        Above level 0 each is enqueued at the current level with its reason
+        [unit, ¬true], which conflict analysis reads as a level-0 fact.  A
+        unit found false was just made so by a literal still in the queue;
+        propagating it finds the conflict on the unit's reason.  At level 0
+        the units become facts and the list empties.  Returns False if one is
+        false at level 0.
+        """
+        clauses, litval = self.clauses, self.litval
+        false = self.true_lit ^ 1
+        root = not self.trail_lim
+        for ci in self.units:
+            clause = clauses[ci]
+            if clause[0] == false:
+                # `propagate` swapped the unit behind ¬true on a conflict
+                clause[0], clause[1] = clause[1], false
+            unit = clause[0]
+            if litval[unit] == 0:
+                self._enqueue(unit, -1 if root else ci)
+            elif root and litval[unit] == -1:
+                return False
+        if root:
+            self.units = []
+        return True
 
     def _add_learned(self, lits) -> int:
         self.learned += 1
@@ -399,9 +456,12 @@ class Solver:
             self.resumed += 1
         else:
             self._cancel_until(0)
-            if self.propagate() != -1:
-                self.ok = False
-                return False
+        if not self._reassert_units():
+            self.ok = False
+            return False
+        if not resume and self.propagate() != -1:
+            self.ok = False
+            return False
         assumptions = list(assumptions)
         conflicts = 0
         luby_idx = 1
@@ -415,6 +475,8 @@ class Solver:
                 since_restart += 1
                 if len(self.trail_lim) <= len(assumptions):
                     # conflict depends only on assumptions and level 0
+                    if not self.trail_lim:
+                        self.ok = False
                     self._cancel_until(0)
                     return False
                 learnt, back = self._analyze(conf)
@@ -422,14 +484,14 @@ class Solver:
                 self._cancel_until(back)
                 if len(learnt) == 1:
                     self._cancel_until(0)
-                    if not self._enqueue(learnt[0], -1):
-                        self.ok = False
-                        return False
+                    asserted = self._enqueue(learnt[0], -1)
                 else:
-                    ci = self._add_learned(learnt)
-                    if not self._enqueue(learnt[0], ci):
-                        self.ok = False
-                        return False
+                    asserted = self._enqueue(learnt[0], self._add_learned(learnt))
+                # units after the learned literal: one it falsifies is a
+                # conflict for `propagate`, not unsat
+                if not asserted or not self._reassert_units():
+                    self.ok = False
+                    return False
                 self.var_inc /= 0.95
                 if (conflicts % 256 == 0 and deadline is not None
                         and time.monotonic() > deadline):
@@ -444,6 +506,9 @@ class Solver:
                 luby_idx += 1
                 restart_budget = 128 * _luby(luby_idx)
                 self._cancel_until(len(assumptions) if assumptions else 0)
+                if not self._reassert_units():
+                    self.ok = False
+                    return False
                 continue
             # extend assumptions first
             if len(self.trail_lim) < len(assumptions):

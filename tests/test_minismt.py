@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import random
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from glycanrules.minismt.engine import Engine, substitute
 from glycanrules.minismt.sexpr import Reader, parse_all, unparse
-from glycanrules.minismt.__main__ import expand_lets
+from glycanrules.minismt.__main__ import expand_lets, serve
 
 
 def run_solver(script: str) -> list[str]:
@@ -410,3 +411,115 @@ def test_all_statistics_repeat_on_a_replayed_transcript(dataset_dir, tmp_path):
     assert all(isinstance(n, int) and n >= 0 for n in counts.values())
     assert counts[":mbqi-rounds"] > 0 and counts[":violation-solves"] > 0
     assert counts[":decisions"] > 0 and counts[":undone"] > 0
+
+
+MBQI_DOMAINS = {"Bool": (False, True), "E": ("M0", "M1", "M2"), "Int": (0, 1, 2)}
+MBQI_FREE = {"p": "Bool", "q": "Bool", "e": "E", "x": "Int", "y": "Int"}
+
+
+def random_mbqi_term(rng, names, depth):
+    """A random formula over `names` (name -> sort) and the enum members."""
+    by_sort = {s: [n for n, t in names.items() if t == s] for s in MBQI_DOMAINS}
+
+    def atom():
+        sort = rng.choice(["Bool", "E", "Int", "Int"])
+        if sort == "Bool":
+            return rng.choice(by_sort["Bool"])
+        a = rng.choice(by_sort[sort])
+        if sort == "E":
+            b = rng.choice(by_sort["E"] + list(MBQI_DOMAINS["E"]))
+            return f"(= {a} {b})"
+        b = rng.choice(by_sort["Int"] + [0, 1, 2])
+        op = rng.choice(["<", "<=", "="])
+        return f"({op} {a} {b})" if rng.random() < 0.5 else f"({op} {b} {a})"
+
+    def term(d):
+        if d == 0 or rng.random() < 0.3:
+            return atom()
+        op = rng.choice(["and", "or", "not", "=>"])
+        if op == "not":
+            return f"(not {term(d - 1)})"
+        return f"({op} {term(d - 1)} {term(d - 1)})"
+
+    return term(depth)
+
+
+def random_universal(rng, index):
+    bound = {f"v{index}{j}": rng.choice(list(MBQI_DOMAINS)) for j in range(rng.randint(1, 3))}
+    body = random_mbqi_term(rng, {**MBQI_FREE, **bound}, 3)
+    binders = " ".join(f"({n} {s})" for n, s in bound.items())
+    ranges = [f"(<= 0 {n}) (<= {n} 2)" for n, s in bound.items() if s == "Int"]
+    guard = f"(and {' '.join(ranges)})" if ranges else "true"
+    text = f"(forall ({binders}) (=> {guard} {body}))"
+    return text, (bound, parse_all(body)[0])
+
+
+def mbqi_holds(assertion, env) -> bool:
+    if assertion[0] == "ground":
+        return eval_sexpr(assertion[1], env)
+    bound, body = assertion[1]
+    return all(
+        eval_sexpr(body, {**env, **dict(zip(bound, values))})
+        for values in itertools.product(*(MBQI_DOMAINS[s] for s in bound.values()))
+    )
+
+
+@pytest.mark.parametrize("trial", range(60))
+def test_mbqi_agrees_with_the_expanded_problem(trial):
+    """Random universals, ground asserts and scopes: every check-sat answers
+    as the fully expanded ground problem does, and every model satisfies all
+    active assertions."""
+    rng = random.Random(3000 + trial)
+    lines = ["(declare-datatypes ((E 0)) (((M0) (M1) (M2))))"]
+    for name, sort in MBQI_FREE.items():
+        lines.append(f"(declare-fun {name} () {sort})")
+        if sort == "Int":
+            lines.append(f"(assert (and (<= 0 {name}) (<= {name} 2)))")
+    scopes = [[]]  # the active assertions, per scope
+    checks = []  # the assertions active at each check-sat
+    universals = 0
+
+    def add_assertions(count):
+        nonlocal universals
+        for _ in range(count):
+            if universals < 3 and rng.random() < 0.6:
+                text, parts = random_universal(rng, universals)
+                universals += 1
+                scopes[-1].append(("forall", parts))
+            else:
+                text = random_mbqi_term(rng, MBQI_FREE, 2)
+                scopes[-1].append(("ground", parse_all(text)[0]))
+            lines.append(f"(assert {text})")
+
+    def check():
+        lines.append("(check-sat)")
+        lines.append(f"(get-value ({' '.join(MBQI_FREE)}))")
+        checks.append([a for scope in scopes for a in scope])
+
+    add_assertions(rng.randint(1, 3))
+    check()
+    for _ in range(rng.randint(1, 2)):
+        lines.append("(push 1)")
+        scopes.append([])
+        add_assertions(rng.randint(1, 3))
+        check()
+        if rng.random() < 0.7:
+            lines.append("(pop 1)")
+            scopes.pop()
+            check()
+    lines.append("(exit)")
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out)
+    replies = out.getvalue().splitlines()
+    assert len(replies) == 2 * len(checks), replies
+    envs = [dict(zip(MBQI_FREE, values))
+            for values in itertools.product(*(MBQI_DOMAINS[s] for s in MBQI_FREE.values()))]
+    for i, active in enumerate(checks):
+        answer, values = replies[2 * i], replies[2 * i + 1]
+        expected = any(all(mbqi_holds(a, env) for a in active) for env in envs)
+        assert answer == ("sat" if expected else "unsat"), (i, lines)
+        if answer == "sat":
+            model = {}
+            for name, value in parse_all(values)[0]:
+                model[name] = value == "true" if MBQI_FREE[name] == "Bool" else value
+            assert all(mbqi_holds(a, model) for a in active), (i, model, lines)

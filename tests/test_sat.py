@@ -164,3 +164,86 @@ def test_model_clauses_resume_agrees_with_bruteforce():
             full += extra
             s.add_model_clauses([mapped(cl) for cl in extra])
             got = s.solve(mapped(assum), resume=True)
+
+
+def test_model_clauses_are_normalised_and_units_kept_across_backjumps():
+    s, (a, b, c, d) = make_solver(4)
+    s.add_clause([2 * a + 1])  # ¬a at level 0
+    assert s.solve() is True
+    # b, c and d are decided false at levels 1, 2 and 3
+    assert [s.level[v] for v in (b, c, d)] == [1, 2, 3]
+    before = len(s.clauses)
+    # true at level 0, and a tautology: nothing is added
+    s.add_model_clauses([[2 * a + 1, 2 * d], [2 * d, 2 * d + 1]])
+    assert len(s.clauses) == before
+    # ¬a false at level 0 and a repeat drop out, leaving the unit c
+    s.add_model_clauses([[2 * a, 2 * c, 2 * c]])
+    assert s.solve(resume=True) is True
+    assert s.value(c) and s.level[c] == 1 and s.reason[c] != -1
+    # both literals false at level 1: back to level 0, where c is a fact
+    # and implies b
+    s.add_model_clauses([[2 * b, 2 * c + 1]])
+    assert s.solve(resume=True) is True
+    assert s.value(c) and s.level[c] == 0
+    assert s.value(b) and s.level[b] == 0
+
+
+def test_unit_falsified_by_a_learned_literal_is_a_conflict_not_unsat():
+    """A learned clause whose asserting literal negates a unit added above
+    level 0: the unit's reason conflicts, and the search goes on."""
+    s, (a, b, u, x) = make_solver(4)
+    # u -> a, by way of x
+    s.add_clause([2 * u + 1, 2 * a, 2 * x])
+    s.add_clause([2 * u + 1, 2 * a, 2 * x + 1])
+    assert s.solve() is True
+    assert [s.level[v] for v in (a, b, u)] == [1, 2, 3] and not s.value(u)
+    # the unit u is asserted at level 2, and its conflict learns (¬u ∨ a),
+    # whose literal ¬u is asserted at level 1
+    s.add_model_clauses([[2 * u]])
+    assert s.solve(resume=True) is True
+    assert s.value(u) and s.value(a)
+    assert s.level[u] == 0 and s.level[a] == 0
+
+
+def test_model_clauses_with_facts_repeats_and_units_agree_with_bruteforce():
+    """Like the resume test above, with level-0 facts, repeated literals and
+    one-literal clauses among the clauses added to a model."""
+    rng = random.Random(13)
+
+    def random_clause(nv, width):
+        return tuple(2 * rng.randrange(nv) + rng.randint(0, 1) for _ in range(width))
+
+    for trial in range(200):
+        nv = rng.randint(3, 8)
+        s, vs = make_solver(nv)
+
+        def mapped(cl):
+            return [2 * vs[l >> 1] + (l & 1) for l in cl]
+
+        full = [random_clause(nv, rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
+        full += [random_clause(nv, 1) for _ in range(rng.randint(0, 2))]
+        for cl in full:
+            s.add_clause(mapped(cl))
+        assum = tuple(2 * v + rng.randint(0, 1)
+                      for v in rng.sample(range(nv), rng.randint(0, 2)))
+        full += [(lit,) for lit in assum]
+        got = s.solve(mapped(assum))
+        for rounds in range(40):
+            assert got == brute_force_sat(nv, full), f"trial {trial}, round {rounds}"
+            if not got:
+                break
+            for cl in full:
+                assert any(s.value(vs[l >> 1]) != bool(l & 1) for l in cl)
+            extra = []
+            for _ in range(rng.randint(1, 4)):
+                # widths 1-4 with repeats allowed; mostly literals the model
+                # falsifies, so the trail must give way
+                cl = tuple(
+                    l ^ 1 if s.value(vs[l >> 1]) != bool(l & 1) and rng.random() < 0.8
+                    else l
+                    for l in random_clause(nv, rng.choice((1, 1, 2, 3, 4)))
+                )
+                extra.append(cl)
+            full += extra
+            s.add_model_clauses([mapped(cl) for cl in extra])
+            got = s.solve(mapped(assum), resume=True)
