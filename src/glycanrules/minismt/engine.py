@@ -660,8 +660,7 @@ class Engine:
         scope = self.scopes.pop()
         for uni in scope.universals:
             if uni.sub is not None:
-                for key, count in _work(uni.sub.sat).items():
-                    self.popped_work[key] += count
+                _add_work(self.popped_work, uni.sub.sat)
         self.sat.add_clause([neg(2 * scope.selector)])
         self.model_vals = None
 
@@ -690,9 +689,10 @@ class Engine:
                 return "unsat"
             if res is None:
                 return "unknown"
+            # clauses go to this model from here on, and the search resumes
+            resume = True
             snapshot = list(self.sat.litval)
-            resume = self._refine_clusters(snapshot)
-            if resume:
+            if self._refine_clusters(snapshot):
                 continue
             found = []
             for uni in self._active_universals():
@@ -707,7 +707,6 @@ class Engine:
             self.mbqi_rounds += 1
             self.instances += len(found)
             self.sat.add_model_clauses(self._lower_instances(found))
-            resume = True
             rounds += 1
             if rounds >= MAX_MBQI_ROUNDS:
                 return "unknown"
@@ -839,12 +838,10 @@ class Engine:
         searched on from a kept trail.
         """
         work = dict(self.popped_work)
+        _add_work(work, self.sat)
         for uni in self._active_universals():
             if uni.sub is not None:
-                for key, count in _work(uni.sub.sat).items():
-                    work[key] += count
-        for key, count in _work(self.sat).items():
-            work[key] += count
+                _add_work(work, uni.sub.sat)
         return [(f":{key}", count) for key, count in work.items()] + [
             (":solves", self.sat.solves),
             (":resumed-solves", self.sat.resumed),
@@ -859,11 +856,11 @@ class Engine:
         return [(n, self._value_from(self.model_vals, n)) for n in names]
 
 
-def _work(solver: Solver) -> dict:
-    work = {key: getattr(solver, key) for key in SEARCH_STATS}
-    work["clauses"] = len(solver.clauses) - solver.learned
-    work["vars"] = solver.nvars
-    return work
+def _add_work(total: dict, solver: Solver):
+    for key in SEARCH_STATS:
+        total[key] += getattr(solver, key)
+    total["clauses"] += len(solver.clauses) - solver.learned
+    total["vars"] += solver.nvars
 
 
 def collect_symbols(term) -> set:
