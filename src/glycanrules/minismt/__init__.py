@@ -1,5 +1,5 @@
-"""Bundled finite-domain SMT solver speaking an SMT-LIB2 subset."""
+"""Bundled finite-domain SMT solver speaking an SMT-LIB2 subset.
 
-from .engine import Engine, SolverError
-
-__all__ = ["Engine", "SolverError"]
+Nothing is re-exported here, so a client that imports `sexpr` does not
+compile `engine` and `sat`.
+"""

@@ -150,7 +150,7 @@ def expand_lets(term, env):
         return expand_lets(term[2], inner)
     if term and term[0] == '"':
         return term
-    return tuple(expand_lets(t, env) for t in term)
+    return tuple([expand_lets(t, env) for t in term])
 
 
 def serve(inp, out) -> int:

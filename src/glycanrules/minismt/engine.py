@@ -82,7 +82,6 @@ class Engine:
         self.min_aux: dict[str, int] = {}
         self.lowered_cluster_min = False  # set by _atom_int_eq_const
         self.aux: dict[tuple, int] = {}
-        self.tseitin: dict[tuple, tuple] = {}  # id-key -> (var, done_polarity)
         self.scopes = [Scope(None)]
         self.model_vals: list | None = None
         self.is_sub = is_sub

@@ -12,11 +12,14 @@ backjump below it, until the search is back at level 0.  `solve` accepts
 assumption literals that are decided first, so scoped assertions can be
 switched with selector variables.  All heuristics (activity ordering, phase
 saving, Luby restarts) break ties by variable index, so runs are reproducible.
+The decision order is a `heapq` of (-activity, var) tuples with lazy deletion
+of the entries a bump leaves stale (see `_bump`).
 """
 
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 
 
 def neg(lit: int) -> int:
@@ -41,8 +44,8 @@ class Solver:
         self.activity: list[float] = []
         self.var_inc = 1.0
         self.phase: list[bool] = []
-        self.heap: list[int] = []
-        self.heap_pos: list[int] = []
+        self.heap: list[tuple] = []  # (-activity, var); see `_bump`
+        self.heap_key: list = []  # per variable: its live entry's key, or None
         self.units: list[int] = []  # reasons of units `_reassert_units` keeps
         self.ok = True
         self.nvars = 0
@@ -68,70 +71,44 @@ class Solver:
         self.reason.append(-1)
         self.activity.append(0.0)
         self.phase.append(False)
-        self.heap_pos.append(-1)
-        self._heap_insert(v)
+        self.heap_key.append(-0.0)
+        heappush(self.heap, (-0.0, v))
         return v
 
-    # ----- activity heap (max by activity, ties by smaller index) -----
-    # u goes above w when activity[u] > activity[w], or equal and u < w; the
-    # hot paths compare inline rather than through a method.
-
-    def _heap_insert(self, v: int):
-        if self.heap_pos[v] != -1:
-            return
-        self.heap.append(v)
-        self._heap_up(len(self.heap) - 1)
-
-    def _heap_up(self, i: int):
-        heap, pos, activity = self.heap, self.heap_pos, self.activity
-        v = heap[i]
-        act = activity[v]
-        while i > 0:
-            parent = (i - 1) >> 1
-            u = heap[parent]
-            au = activity[u]
-            if act > au or (act == au and v < u):
-                heap[i] = u
-                pos[u] = i
-                i = parent
-            else:
-                break
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_down(self, i: int):
-        heap, pos, activity = self.heap, self.heap_pos, self.activity
-        v = heap[i]
-        act = activity[v]
-        size = len(heap)
-        child = 2 * i + 1
-        while child < size:
-            c = heap[child]
-            ac = activity[c]
-            right = child + 1
-            if right < size:
-                r = heap[right]
-                ar = activity[r]
-                if ar > ac or (ar == ac and r < c):
-                    child, c, ac = right, r, ar
-            if ac > act or (ac == act and c < v):
-                heap[i] = c
-                pos[c] = i
-                i = child
-                child = 2 * i + 1
-            else:
-                break
-        heap[i] = v
-        pos[v] = i
+    # ----- decision order -----
+    # `heap` is a `heapq` of (-activity, var) entries, so `heappop` gives the
+    # highest activity, ties to the smaller index.  A bump pushes a new entry
+    # and leaves the old one stale.  `heap_key[v]` is the key of v's live
+    # entry, or None when v has none; an entry with another key is stale and
+    # is dropped when popped.  Every unassigned variable has a live entry.
+    # The heap is rebuilt from the live entries after an activity rescale,
+    # and when it grows past twice the variable count, which bounds the
+    # stale ones.
 
     def _bump(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
+        act = self.activity[v] + self.var_inc
+        self.activity[v] = act
+        if act > 1e100:
+            activity = self.activity
             for u in range(self.nvars):
-                self.activity[u] *= 1e-100
+                activity[u] *= 1e-100
             self.var_inc *= 1e-100
-        if self.heap_pos[v] != -1:
-            self._heap_up(self.heap_pos[v])
+            self._rebuild_heap()
+        elif self.heap_key[v] is not None:
+            self.heap_key[v] = -act
+            heappush(self.heap, (-act, v))
+            if len(self.heap) > 2 * self.nvars:
+                self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        """The live entries only, keyed by the current activities."""
+        key, activity, heap = self.heap_key, self.activity, self.heap
+        heap.clear()
+        for v in range(self.nvars):
+            if key[v] is not None:
+                key[v] = -activity[v]
+                heap.append((key[v], v))
+        heapify(heap)
 
     # ----- clauses -----
 
@@ -294,11 +271,7 @@ class Solver:
             watchers = watches[falsified]
             kept = []
             keep = kept.append
-            n = len(watchers)
-            i = 0
-            while i < n:
-                ci = watchers[i]
-                i += 1
+            for i, ci in enumerate(watchers):
                 clause = clauses[ci]
                 if clause is None:
                     continue
@@ -320,7 +293,7 @@ class Solver:
                 else:
                     keep(ci)
                     if litval[first] == -1:
-                        kept.extend(watchers[i:n])
+                        kept.extend(watchers[i + 1:])
                         watches[falsified] = kept
                         self.qhead = qhead
                         return ci
@@ -343,7 +316,7 @@ class Solver:
         bound = trail_lim[target]
         self.undone += len(trail) - bound
         litval, level, reason = self.litval, self.level, self.reason
-        heap, pos, activity = self.heap, self.heap_pos, self.activity
+        heap, key, activity = self.heap, self.heap_key, self.activity
         for idx in range(len(trail) - 1, bound - 1, -1):
             lit = trail[idx]
             v = lit >> 1
@@ -351,23 +324,9 @@ class Solver:
             litval[lit ^ 1] = 0
             reason[v] = -1
             level[v] = -1
-            if pos[v] == -1:
-                # _heap_insert, inline
-                i = len(heap)
-                heap.append(v)
-                act = activity[v]
-                while i > 0:
-                    parent = (i - 1) >> 1
-                    u = heap[parent]
-                    au = activity[u]
-                    if act > au or (act == au and v < u):
-                        heap[i] = u
-                        pos[u] = i
-                        i = parent
-                    else:
-                        break
-                heap[i] = v
-                pos[v] = i
+            if key[v] is None:
+                k = key[v] = -activity[v]
+                heappush(heap, (k, v))
         del trail[bound:]
         del trail_lim[target:]
         self.qhead = bound
@@ -531,17 +490,16 @@ class Solver:
             self._enqueue(lit, -1)
 
     def _pick_branch(self) -> int:
-        """Pop the heap down to its first unassigned variable, or -1."""
-        heap, pos, litval = self.heap, self.heap_pos, self.litval
+        """Pop the heap down to its first live entry of an unassigned
+        variable, and return that variable, or -1."""
+        heap, key, litval = self.heap, self.heap_key, self.litval
         while heap:
-            top = heap[0]
-            last = heap.pop()
-            pos[top] = -1
-            if heap:
-                heap[0] = last
-                self._heap_down(0)
-            if litval[2 * top] == 0:
-                return top
+            k, v = heappop(heap)
+            if key[v] != k:
+                continue  # stale
+            key[v] = None
+            if litval[2 * v] == 0:
+                return v
         return -1
 
     def value(self, v: int) -> bool:

@@ -1,8 +1,16 @@
 """Minimal SMT-LIB2 s-expression reader.
 
 Forms become nested Python tuples; symbols and keywords are strings, numerals
-ints, and string literals ('"', text) pairs.  The reader is incremental: feed
-it chunks of text and it yields complete top-level forms.
+(ASCII `-?[0-9]+`) ints, and string literals ('"', text) pairs.  Whitespace is
+space, tab, CR and LF.  The reader is incremental: feed it chunks of text and
+it yields complete top-level forms.
+
+Both the tokenizer and `Reader.feed` work on runs of text with C string
+methods and go character by character only where a string literal ("..."),
+a comment (; to end of line) or a quoted symbol (|...|) needs it: the
+tokenizer splits each run between those with `str.replace` and `str.split`,
+and `feed` counts the parentheses of a buffer that holds none of them with
+`str.count`.
 """
 
 from __future__ import annotations
@@ -12,72 +20,84 @@ class SexprError(ValueError):
     pass
 
 
+def _special(text: str, i: int) -> int:
+    """Index of the first '"', ';' or '|' at or after `i`, or len(text)."""
+    n = len(text)
+    j = text.find('"', i)
+    if j == -1:
+        j = n
+    k = text.find(";", i, j)
+    if k != -1:
+        j = k
+    k = text.find("|", i, j)
+    return j if k == -1 else k
+
+
 def tokenize(text: str):
+    """Yield the tokens of `text`: '(' and ')', symbols, ints and ('"', text)."""
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
+        j = _special(text, i)
+        if j > i:
+            run = (text[i:j].replace("(", " ( ").replace(")", " ) ")
+                   .replace("\t", " ").replace("\r", " ").replace("\n", " "))
+            for tok in run.split(" "):
+                if tok:
+                    # int() would also take "²", "٣" and "--5"
+                    if (tok.isdigit() or tok[0] == "-" and tok[1:].isdigit()) \
+                            and tok.isascii():
+                        yield int(tok)
+                    else:
+                        yield tok
+        if j == n:
+            break
+        ch = text[j]
         if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield ch
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        out.append('"')
-                        j += 2
-                        continue
-                    break
-                out.append(text[j])
-                j += 1
-            else:
-                raise SexprError("unterminated string literal")
-            yield ('"', "".join(out))
-            i = j + 1
-            continue
-        if ch == "|":
-            j = text.find("|", i + 1)
-            if j == -1:
+            i = text.find("\n", j)
+            if i == -1:
+                break
+        elif ch == "|":
+            i = text.find("|", j + 1)
+            if i == -1:
                 raise SexprError("unterminated quoted symbol")
-            yield text[i + 1 : j]
-            i = j + 1
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r\n();"|':
-            j += 1
-        tok = text[i:j]
-        i = j
-        if tok.lstrip("-").isdigit():
-            yield int(tok)
+            yield text[j + 1 : i]
+            i += 1
         else:
-            yield tok
+            parts = []
+            i = j + 1
+            while True:
+                k = text.find('"', i)
+                if k == -1:
+                    raise SexprError("unterminated string literal")
+                parts.append(text[i:k])
+                if text.startswith('"', k + 1):  # "" stands for one '"'
+                    parts.append('"')
+                    i = k + 2
+                else:
+                    break
+            yield ('"', "".join(parts))
+            i = k + 1
 
 
 def parse_all(text: str):
     """Parse every complete form in `text` (raises on trailing garbage)."""
-    stack = [[]]
+    stack = []
+    top = []
     for tok in tokenize(text):
         if tok == "(":
-            stack.append([])
+            stack.append(top)
+            top = []
         elif tok == ")":
-            if len(stack) == 1:
+            if not stack:
                 raise SexprError("unbalanced ')'")
-            done = tuple(stack.pop())
-            stack[-1].append(done)
+            done = tuple(top)
+            top = stack.pop()
+            top.append(done)
         else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
+            top.append(tok)
+    if stack:
         raise SexprError("unbalanced '('")
-    return stack[0]
+    return top
 
 
 class Reader:
@@ -87,28 +107,51 @@ class Reader:
         self.buffer = ""
 
     def feed(self, chunk: str):
-        self.buffer += chunk
+        buf = self.buffer = self.buffer + chunk
+        if '"' in buf or ";" in buf or "|" in buf:
+            end = self._scan(buf)
+        else:
+            closes = buf.count(")")
+            if not closes:
+                return []
+            if buf.count("(") != closes:
+                end = self._scan(buf)
+            else:
+                # balanced: unless a ')' falls below depth 0, which parsing
+                # finds, the last ')' closes the last complete form
+                end = buf.rfind(")") + 1
+                try:
+                    forms = parse_all(buf[:end])
+                except SexprError:
+                    end = self._scan(buf)
+                else:
+                    self.buffer = buf[end:]
+                    return forms
+        if end:
+            self.buffer = buf[end:]
+            return parse_all(buf[:end])
+        return []
+
+    @staticmethod
+    def _scan(buf: str) -> int:
+        """End of the last ')' that closes a top-level form, or 0."""
         depth = 0
-        in_string = False
-        in_comment = False
+        quote = ""  # the closing character of an open string, symbol or comment
         last_complete = 0
         i = 0
-        n = len(self.buffer)
+        n = len(buf)
         while i < n:
-            ch = self.buffer[i]
-            if in_comment:
-                if ch == "\n":
-                    in_comment = False
-            elif in_string:
-                if ch == '"':
-                    if i + 1 < n and self.buffer[i + 1] == '"':
+            ch = buf[i]
+            if quote:
+                if ch == quote:
+                    if ch == '"' and i + 1 < n and buf[i + 1] == '"':
                         i += 1
                     else:
-                        in_string = False
-            elif ch == '"':
-                in_string = True
+                        quote = ""
+            elif ch == '"' or ch == "|":
+                quote = ch
             elif ch == ";":
-                in_comment = True
+                quote = "\n"
             elif ch == "(":
                 depth += 1
             elif ch == ")":
@@ -116,11 +159,7 @@ class Reader:
                 if depth == 0:
                     last_complete = i + 1
             i += 1
-        if last_complete:
-            text = self.buffer[:last_complete]
-            self.buffer = self.buffer[last_complete:]
-            return parse_all(text)
-        return []
+        return last_complete
 
 
 def unparse(form) -> str:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from glycanrules.minismt.engine import Engine, substitute
-from glycanrules.minismt.sexpr import Reader, parse_all, unparse
+from glycanrules.minismt.sexpr import Reader, SexprError, parse_all, unparse
 from glycanrules.minismt.__main__ import expand_lets, serve
 
 
@@ -34,6 +34,179 @@ def test_reader_handles_split_forms():
     assert r.feed("(assert (and a") == []
     forms = r.feed(" b))\n(check-sat)\n")
     assert len(forms) == 2
+
+
+# ----- the reader against a character-by-character reference -----
+
+
+def ref_tokenize(text: str):
+    """The reader's tokenizer as it was, one character at a time, except
+    that only ASCII `-?[0-9]+` is a numeral."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            yield ch
+            i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            out = []
+            while j < n:
+                if text[j] == '"':
+                    if j + 1 < n and text[j + 1] == '"':
+                        out.append('"')
+                        j += 2
+                        continue
+                    break
+                out.append(text[j])
+                j += 1
+            else:
+                raise SexprError("unterminated string literal")
+            yield ('"', "".join(out))
+            i = j + 1
+            continue
+        if ch == "|":
+            j = text.find("|", i + 1)
+            if j == -1:
+                raise SexprError("unterminated quoted symbol")
+            yield text[i + 1 : j]
+            i = j + 1
+            continue
+        j = i
+        while j < n and text[j] not in ' \t\r\n();"|':
+            j += 1
+        tok = text[i:j]
+        i = j
+        digits = tok[1:] if tok.startswith("-") else tok
+        if digits and all(c in "0123456789" for c in digits):
+            yield int(tok)
+        else:
+            yield tok
+
+
+def ref_parse_all(text: str):
+    stack = [[]]
+    for tok in ref_tokenize(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise SexprError("unbalanced ')'")
+            done = tuple(stack.pop())
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) != 1:
+        raise SexprError("unbalanced '('")
+    return stack[0]
+
+
+def ref_feed(buffer: str):
+    """(forms or error, rest of the buffer) of a reader that scans `buffer`
+    one character at a time and parses up to the last ')' closing a
+    top-level form."""
+    depth, quote, end = 0, "", 0
+    i = 0
+    while i < len(buffer):
+        ch = buffer[i]
+        if quote:
+            if ch == quote:
+                if buffer[i:i + 2] == '""':
+                    i += 1
+                else:
+                    quote = ""
+        elif ch in '"|':
+            quote = ch
+        elif ch == ";":
+            quote = "\n"
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                end = i + 1
+        i += 1
+    return outcome(ref_parse_all, buffer[:end]) if end else [], buffer[end:]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except SexprError as exc:
+        return ("error", str(exc))
+
+
+READER_ATOMS = ["a", "x1", "v520_p3_tau_2222", ":named", "=>", "<=", "0", "42",
+                "-7", "007", "-", "--5", "²", "٣", "-٣", "a\x0bb", "b\xa0c", "1e5"]
+READER_SPACES = [" ", " ", "  ", "\t", "\n", "\r\n", ""]
+READER_QUOTED = ['"a ( b"', '"say ""hi"""', '"; no comment"', '"|"', '""',
+                 "; a ( comment \" |\n", ";\n", "|a b|", "|(|", '|;"|', "||",
+                 '"two\nlines"']
+READER_BROKEN = [")", "(", '"open', "|open", "; no newline"]
+
+
+def random_reader_text(rng, quoted: bool) -> str:
+    def item(depth):
+        r = rng.random()
+        if depth < 4 and r < 0.3:
+            inner = [item(depth + 1) for _ in range(rng.randint(0, 4))]
+            return "(" + "".join(rng.choice(READER_SPACES) + x for x in inner) + ")"
+        if quoted and r < 0.45:
+            return rng.choice(READER_QUOTED)
+        return rng.choice(READER_ATOMS)
+
+    items = [item(0) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.15:
+        pool = READER_BROKEN if quoted else READER_BROKEN[:2]
+        items.insert(rng.randint(0, len(items)), rng.choice(pool))
+    return "".join(x + rng.choice(READER_SPACES) for x in items)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_reader_agrees_with_a_character_tokenizer(quoted):
+    """Seeded random texts, whole and fed in random chunks: `parse_all` and
+    `Reader.feed` give the forms and errors the reference gives, and the
+    reader keeps the same unread text."""
+    rng = random.Random(8 + quoted)
+    for trial in range(1500):
+        text = random_reader_text(rng, quoted)
+        assert outcome(parse_all, text) == outcome(ref_parse_all, text), repr(text)
+        cuts = sorted(rng.sample(range(1, len(text) + 1), min(len(text), rng.randint(1, 4))))
+        reader, expected_buffer, start = Reader(), "", 0
+        for cut in cuts:
+            expected, expected_buffer = ref_feed(expected_buffer + text[start:cut])
+            assert outcome(reader.feed, text[start:cut]) == expected, (trial, repr(text))
+            assert reader.buffer == expected_buffer, (trial, repr(text))
+            start = cut
+
+
+def test_reader_numerals_are_ascii_digits():
+    assert parse_all("(7 -7 007 --5 ² ٣ -٣ - -x)") == [
+        (7, -7, 7, "--5", "²", "٣", "-٣", "-", "-x")]
+
+
+@pytest.mark.parametrize("token", ["--5", "²"])
+def test_malformed_numeral_is_an_error_not_a_crash(token):
+    out = run_solver(
+        f"""(set-option :print-success true)
+(declare-fun x () Int)
+(assert (and (<= 0 x) (<= x 3)))
+(assert (< x {token}))
+(check-sat)
+(get-value (x))
+(exit)
+"""
+    )
+    assert len(out) == 3 and out[0].startswith("(error")
+    assert out[1:] == ["sat", "((x 0))"]
 
 
 def test_let_expansion_shares_objects():
@@ -411,6 +584,14 @@ def test_all_statistics_repeat_on_a_replayed_transcript(dataset_dir, tmp_path):
     assert all(isinstance(n, int) and n >= 0 for n in counts.values())
     assert counts[":mbqi-rounds"] > 0 and counts[":violation-solves"] > 0
     assert counts[":decisions"] > 0 and counts[":undone"] > 0
+    # The exact search.  A change that leaves every decision as it is keeps
+    # these counts; one that means to change the search updates them.
+    assert counts == {
+        ":decisions": 84, ":conflicts": 14, ":undone": 2037, ":restarts": 0,
+        ":learned": 5, ":clauses": 2831, ":vars": 1064, ":solves": 6,
+        ":resumed-solves": 4, ":mbqi-rounds": 2, ":instances": 2,
+        ":violation-solves": 3,
+    }
 
 
 MBQI_DOMAINS = {"Bool": (False, True), "E": ("M0", "M1", "M2"), "Int": (0, 1, 2)}

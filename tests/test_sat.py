@@ -247,3 +247,51 @@ def test_model_clauses_with_facts_repeats_and_units_agree_with_bruteforce():
             full += extra
             s.add_model_clauses([mapped(cl) for cl in extra])
             got = s.solve(mapped(assum), resume=True)
+
+
+def test_decision_order_is_highest_activity_then_smallest_index():
+    """Random bumps, assignments and backjumps, with one forced activity
+    rescale: after each step the heap's pick is the unassigned variable of
+    highest activity, ties to the smaller index, found by brute force."""
+    rng = random.Random(21)
+    s, vs = make_solver(40)
+    rescaled = False
+
+    def expected():
+        free = [v for v in range(s.nvars) if s.litval[2 * v] == 0]
+        return min(free, key=lambda v: (-s.activity[v], v), default=-1)
+
+    def pick():
+        # `_pick_branch` pops entries; ask a copy so the solver is untouched
+        probe = Solver.__new__(Solver)
+        probe.heap, probe.heap_key = list(s.heap), list(s.heap_key)
+        probe.litval = s.litval
+        return probe._pick_branch()
+
+    for step in range(3000):
+        r = rng.random()
+        if r < 0.45:
+            if not rescaled and step > 1500:
+                s.var_inc = 1e100  # the next bump rescales every activity
+                rescaled = True
+            elif rng.random() < 0.3:
+                s.var_inc /= 0.95  # otherwise equal bumps make ties
+            s._bump(rng.choice(vs))
+        elif r < 0.7:
+            best = expected()
+            v = s._pick_branch()
+            assert v == best, step
+            if v != -1:
+                s.trail_lim.append(len(s.trail))
+                s._enqueue(2 * v + rng.randint(0, 1), -1)
+        elif r < 0.85:
+            free = [v for v in vs if s.litval[2 * v] == 0]
+            if free:  # an implied literal: assigned, its entry left in place
+                s._enqueue(2 * rng.choice(free) + rng.randint(0, 1), -1)
+        else:
+            s._cancel_until(rng.randint(0, len(s.trail_lim)))
+        assert pick() == expected(), step
+        # at most one live entry per variable, and the rebuild at twice the
+        # variable count bounds the stale ones
+        assert len(s.heap) <= 3 * s.nvars
+    assert rescaled and max(s.activity) < 1e100
