@@ -44,8 +44,9 @@ class Solver:
         self.activity: list[float] = []
         self.var_inc = 1.0
         self.phase: list[bool] = []
-        self.heap: list[tuple] = []  # (-activity, var); see `_bump`
-        self.heap_key: list = []  # per variable: its live entry's key, or None
+        self.heap: list[tuple] = []  # (-activity, var) entries; see `_bump`
+        self.heap_entry: list[tuple] = []  # per variable: its newest entry
+        self.in_heap = bytearray()  # per variable: 1 if that entry is in `heap`
         self.units: list[int] = []  # reasons of units `_reassert_units` keeps
         self.ok = True
         self.nvars = 0
@@ -71,43 +72,47 @@ class Solver:
         self.reason.append(-1)
         self.activity.append(0.0)
         self.phase.append(False)
-        self.heap_key.append(-0.0)
-        heappush(self.heap, (-0.0, v))
+        entry = (-0.0, v)
+        self.heap_entry.append(entry)
+        self.in_heap.append(1)
+        heappush(self.heap, entry)
         return v
 
     # ----- decision order -----
     # `heap` is a `heapq` of (-activity, var) entries, so `heappop` gives the
-    # highest activity, ties to the smaller index.  A bump pushes a new entry
-    # and leaves the old one stale.  `heap_key[v]` is the key of v's live
-    # entry, or None when v has none; an entry with another key is stale and
-    # is dropped when popped.  Every unassigned variable has a live entry.
-    # The heap is rebuilt from the live entries after an activity rescale,
-    # and when it grows past twice the variable count, which bounds the
-    # stale ones.
+    # highest activity, ties to the smaller index.  A bump makes a variable a
+    # new entry, `heap_entry[v]`, and pushes it if the old one is in the
+    # heap; the old one is then stale, and is dropped when popped.  Every
+    # unassigned variable has its newest entry in the heap (`in_heap[v]`),
+    # and a backjump pushes back only the entries that were popped, without
+    # making new ones.  The heap is rebuilt from the newest entries after an
+    # activity rescale, and when it grows past twice the variable count,
+    # which bounds the stale ones.
 
     def _bump(self, v: int):
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
         if act > 1e100:
-            activity = self.activity
+            activity, entry = self.activity, self.heap_entry
             for u in range(self.nvars):
                 activity[u] *= 1e-100
+                entry[u] = (-activity[u], u)
             self.var_inc *= 1e-100
             self._rebuild_heap()
-        elif self.heap_key[v] is not None:
-            self.heap_key[v] = -act
-            heappush(self.heap, (-act, v))
+            return
+        entry = self.heap_entry[v] = (-act, v)
+        if self.in_heap[v]:
+            heappush(self.heap, entry)
             if len(self.heap) > 2 * self.nvars:
                 self._rebuild_heap()
 
     def _rebuild_heap(self):
-        """The live entries only, keyed by the current activities."""
-        key, activity, heap = self.heap_key, self.activity, self.heap
+        """The heap of the newest entries of the variables in it."""
+        entry, in_heap, heap = self.heap_entry, self.in_heap, self.heap
         heap.clear()
         for v in range(self.nvars):
-            if key[v] is not None:
-                key[v] = -activity[v]
-                heap.append((key[v], v))
+            if in_heap[v]:
+                heap.append(entry[v])
         heapify(heap)
 
     # ----- clauses -----
@@ -316,7 +321,7 @@ class Solver:
         bound = trail_lim[target]
         self.undone += len(trail) - bound
         litval, level, reason = self.litval, self.level, self.reason
-        heap, key, activity = self.heap, self.heap_key, self.activity
+        heap, entry, in_heap = self.heap, self.heap_entry, self.in_heap
         for idx in range(len(trail) - 1, bound - 1, -1):
             lit = trail[idx]
             v = lit >> 1
@@ -324,9 +329,9 @@ class Solver:
             litval[lit ^ 1] = 0
             reason[v] = -1
             level[v] = -1
-            if key[v] is None:
-                k = key[v] = -activity[v]
-                heappush(heap, (k, v))
+            if not in_heap[v]:
+                in_heap[v] = 1
+                heappush(heap, entry[v])
         del trail[bound:]
         del trail_lim[target:]
         self.qhead = bound
@@ -490,14 +495,15 @@ class Solver:
             self._enqueue(lit, -1)
 
     def _pick_branch(self) -> int:
-        """Pop the heap down to its first live entry of an unassigned
-        variable, and return that variable, or -1."""
-        heap, key, litval = self.heap, self.heap_key, self.litval
+        """Pop the heap down to the newest entry of an unassigned variable,
+        and return that variable, or -1."""
+        heap, entry, in_heap, litval = self.heap, self.heap_entry, self.in_heap, self.litval
         while heap:
-            k, v = heappop(heap)
-            if key[v] != k:
+            top = heappop(heap)
+            v = top[1]
+            if top is not entry[v]:
                 continue  # stale
-            key[v] = None
+            in_heap[v] = 0
             if litval[2 * v] == 0:
                 return v
         return -1

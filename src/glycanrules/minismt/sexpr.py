@@ -9,8 +9,8 @@ Both the tokenizer and `Reader.feed` work on runs of text with C string
 methods and go character by character only where a string literal ("..."),
 a comment (; to end of line) or a quoted symbol (|...|) needs it: the
 tokenizer splits each run between those with `str.replace` and `str.split`,
-and `feed` counts the parentheses of a buffer that holds none of them with
-`str.count`.
+`_PIECE` characters at a time, and `feed` counts the parentheses of a buffer
+that holds none of them with `str.count`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from __future__ import annotations
 
 class SexprError(ValueError):
     pass
+
+
+_PIECE = 4096  # bounds the copies and token lists a long line costs at once
 
 
 def _special(text: str, i: int) -> int:
@@ -38,8 +41,11 @@ def tokenize(text: str):
     i, n = 0, len(text)
     while i < n:
         j = _special(text, i)
-        if j > i:
-            run = (text[i:j].replace("(", " ( ").replace(")", " ) ")
+        while i < j:
+            # plain text a piece at a time, so a long line is not copied and
+            # split whole; a piece ends at a space, which no token spans
+            k = j if j - i <= _PIECE else text.find(" ", i + _PIECE, j) + 1 or j
+            run = (text[i:k].replace("(", " ( ").replace(")", " ) ")
                    .replace("\t", " ").replace("\r", " ").replace("\n", " "))
             for tok in run.split(" "):
                 if tok:
@@ -49,6 +55,7 @@ def tokenize(text: str):
                         yield int(tok)
                     else:
                         yield tok
+            i = k
         if j == n:
             break
         ch = text[j]

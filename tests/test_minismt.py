@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from glycanrules.minismt.engine import Engine, substitute
+from glycanrules.minismt import sexpr
 from glycanrules.minismt.sexpr import Reader, SexprError, parse_all, unparse
 from glycanrules.minismt.__main__ import expand_lets, serve
 
@@ -170,11 +171,15 @@ def random_reader_text(rng, quoted: bool) -> str:
     return "".join(x + rng.choice(READER_SPACES) for x in items)
 
 
+@pytest.mark.parametrize("piece", [None, 3], ids=["whole", "pieces"])
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
-def test_reader_agrees_with_a_character_tokenizer(quoted):
+def test_reader_agrees_with_a_character_tokenizer(quoted, piece, monkeypatch):
     """Seeded random texts, whole and fed in random chunks: `parse_all` and
     `Reader.feed` give the forms and errors the reference gives, and the
-    reader keeps the same unread text."""
+    reader keeps the same unread text.  With a tiny `_PIECE`, the tokenizer
+    cuts nearly every run of plain text into pieces."""
+    if piece is not None:
+        monkeypatch.setattr(sexpr, "_PIECE", piece)
     rng = random.Random(8 + quoted)
     for trial in range(1500):
         text = random_reader_text(rng, quoted)

@@ -264,8 +264,8 @@ def test_decision_order_is_highest_activity_then_smallest_index():
     def pick():
         # `_pick_branch` pops entries; ask a copy so the solver is untouched
         probe = Solver.__new__(Solver)
-        probe.heap, probe.heap_key = list(s.heap), list(s.heap_key)
-        probe.litval = s.litval
+        probe.heap, probe.in_heap = list(s.heap), bytearray(s.in_heap)
+        probe.heap_entry, probe.litval = s.heap_entry, s.litval
         return probe._pick_branch()
 
     for step in range(3000):
@@ -291,7 +291,7 @@ def test_decision_order_is_highest_activity_then_smallest_index():
         else:
             s._cancel_until(rng.randint(0, len(s.trail_lim)))
         assert pick() == expected(), step
-        # at most one live entry per variable, and the rebuild at twice the
+        # at most one newest entry per variable, and the rebuild at twice the
         # variable count bounds the stale ones
         assert len(s.heap) <= 3 * s.nvars
     assert rescaled and max(s.activity) < 1e100
