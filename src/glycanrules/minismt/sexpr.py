@@ -23,24 +23,18 @@ class SexprError(ValueError):
 _PIECE = 4096  # bounds the copies and token lists a long line costs at once
 
 
-def _special(text: str, i: int) -> int:
-    """Index of the first '"', ';' or '|' at or after `i`, or len(text)."""
-    n = len(text)
-    j = text.find('"', i)
-    if j == -1:
-        j = n
-    k = text.find(";", i, j)
-    if k != -1:
-        j = k
-    k = text.find("|", i, j)
-    return j if k == -1 else k
-
-
 def tokenize(text: str):
     """Yield the tokens of `text`: '(' and ')', symbols, ints and ('"', text)."""
     i, n = 0, len(text)
+    # the next index of each special character (n if none); each search
+    # starts past the last, so finding them costs one pass per character
+    at = {'"': -1, ";": -1, "|": -1}
     while i < n:
-        j = _special(text, i)
+        for ch, k in at.items():
+            if k < i:
+                k = text.find(ch, i)
+                at[ch] = n if k == -1 else k
+        j = min(at.values())
         while i < j:
             # plain text a piece at a time, so a long line is not copied and
             # split whole; a piece ends at a space, which no token spans
