@@ -6,16 +6,13 @@ variable lists, scoped retraction via `(push 1)`/`(pop 1)`.  Identical
 formulas produce byte-identical text (deterministic name allocation and
 let-naming), which makes query transcripts replayable.
 
-The default solver is the bundled one, started as
-`python -S -m glycanrules.minismt` with this package's root prepended to
-PYTHONPATH, so the child imports the same `glycanrules` as the client and
-skips `site`.  `Session.pair` opens the two sessions of one synthesis: with
-the bundled solver it starts one child and passes it a second pipe pair
-through the internal `--internal-fork` argument; the child forks after
-import and serves the second session from the fork.  Set GLYCANRULES_SOLVER
-to substitute any SMT-LIB2 solver binary such as z3; an external solver gets
-one process per session.  Each launch writes its stderr to a temporary file,
-and launch and protocol errors quote its tail.
+Each session starts one solver process.  The default solver is the bundled
+one, started as `python -S -m glycanrules.minismt` with this package's root
+prepended to PYTHONPATH, so the child imports the same `glycanrules` as the
+client and skips `site`; it leads a process group of its own.  Set
+GLYCANRULES_SOLVER to substitute any SMT-LIB2 solver binary such as z3.  Each
+launch writes its stderr to a temporary file, and launch and protocol errors
+quote its tail.
 """
 
 from __future__ import annotations
@@ -23,12 +20,9 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
-import select
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -250,16 +244,10 @@ TERMINATE_GRACE_S = 1.0
 
 
 class Session:
-    """One solver session over a process's pipes. Callers serialize; not
-    thread-safe.
+    """One solver session over the pipes of a process of its own. Callers
+    serialize; not thread-safe."""
 
-    `Session(config)` starts a process of its own.  `proc` is an already
-    launched solver handle (see `Session.pair`), with `stderr` the temporary
-    file its stderr goes to; a session that is handed a process does not own
-    that file.
-    """
-
-    def __init__(self, config: SolverConfig, proc=None, stderr=None):
+    def __init__(self, config: SolverConfig):
         self.config = config
         self.declared: set[str] = set()
         self.declared_sorts: dict[str, tuple] = {}
@@ -269,16 +257,12 @@ class Session:
         self.depth = 0
         self.check_count = 0
         self._emitter = _Emitter()
-        self._own_stderr = proc is None
-        if proc is None:
-            stderr = tempfile.TemporaryFile()
-            try:
-                proc = _launch(config, config.command(), stderr)
-            except BaseException:
-                stderr.close()
-                raise
-        self.proc = proc
-        self.stderr = stderr
+        self.stderr = tempfile.TemporaryFile()
+        try:
+            self.proc = _launch(config, self.stderr)
+        except BaseException:
+            self.stderr.close()
+            raise
         try:
             self._send("(set-option :print-success true)", expect="success")
             self._send("(set-option :produce-models true)", expect="success")
@@ -293,48 +277,6 @@ class Session:
                     f"solver {config.command()!r} did not start: {exc}"
                 ) from exc
             raise
-
-    @classmethod
-    @contextlib.contextmanager
-    def pair(cls, config: SolverConfig):
-        """The two sessions of one synthesis, closed second first.
-
-        The bundled solver serves both from one launch: the child forks the
-        second session off after import, so it costs a fork, not another
-        interpreter start, and stays a process of its own.  An external
-        solver, or a platform without `fork`, gets one process per session.
-        """
-        if config.executable or not hasattr(os, "fork"):
-            with cls(config) as first, cls(config) as second:
-                yield first, second
-            return
-        with tempfile.TemporaryFile() as stderr:
-            to_fork, from_client = os.pipe()
-            to_client, from_fork = os.pipe()
-            try:
-                owner = _launch(
-                    config,
-                    [*config.command(), "--internal-fork",
-                     f"{to_fork},{from_fork}"],
-                    stderr,
-                    pass_fds=(to_fork, from_fork),
-                )
-            except BaseException:
-                os.close(from_client)
-                os.close(to_client)
-                raise
-            finally:
-                os.close(to_fork)
-                os.close(from_fork)
-            forked = _Forked(owner, open(from_client, "w"), open(to_client))
-            try:
-                first = cls(config, owner, stderr)
-            except BaseException:
-                forked.stdin.close()
-                forked.stdout.close()
-                raise
-            with first, cls(config, forked, stderr) as second:
-                yield first, second
 
     # ----- plumbing -----
 
@@ -553,12 +495,11 @@ class Session:
         self.proc.wait()
 
     def _release(self):
-        """Close the client's ends of the pipes, and the stderr file if owned."""
+        """Close the client's ends of the pipes, and the stderr file."""
         for pipe in (self.proc.stdin, self.proc.stdout):
             with contextlib.suppress(OSError):
                 pipe.close()
-        if self._own_stderr:
-            self.stderr.close()
+        self.stderr.close()
 
     def __enter__(self):
         return self
@@ -570,13 +511,14 @@ class Session:
             self._terminate()
 
 
-def _launch(config: SolverConfig, command: list, stderr, pass_fds=()):
-    """Start `command` with piped stdin/stdout and stderr to `stderr`.
+def _launch(config: SolverConfig, stderr):
+    """Start the solver with piped stdin/stdout and stderr to `stderr`.
 
     The bundled solver runs with `-S`, so it gets PACKAGE_ROOT first on its
-    PYTHONPATH, and it starts a process group of its own, which `kill` ends
-    with the process it may fork.
+    PYTHONPATH, and it starts a process group of its own, which `terminate`
+    and `kill` signal whole.
     """
+    command = config.command()
     env = None
     group = False
     if not config.executable:
@@ -593,7 +535,6 @@ def _launch(config: SolverConfig, command: list, stderr, pass_fds=()):
             stderr=stderr,
             text=True,
             env=env,
-            pass_fds=pass_fds,
             start_new_session=group,
         )
     except OSError as exc:
@@ -602,50 +543,11 @@ def _launch(config: SolverConfig, command: list, stderr, pass_fds=()):
 
 class _GroupPopen(subprocess.Popen):
     """A solver leading its own process group; `terminate` and `kill`
-    signal the whole group.
-
-    The group outlives a leader that has exited while its fork still runs,
-    so the group is signalled even then.
-    """
+    signal the whole group, and a group already gone is no error."""
 
     def send_signal(self, sig):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(self.pid, sig)
-
-
-class _Forked:
-    """The client's ends of the session a bundled solver forks after import.
-
-    Stands in for the `Popen` of a process of its own.  Only the owner can
-    reap the fork, so `wait` waits for the fork to close its output, and
-    `terminate` and `kill` signal the owner's process group, the fork with it.
-    """
-
-    def __init__(self, owner: subprocess.Popen, stdin, stdout):
-        self.owner = owner
-        self.stdin = stdin
-        self.stdout = stdout
-        self.returncode = None
-
-    def poll(self):
-        return self.returncode
-
-    def wait(self, timeout=None):
-        fd = self.stdout.fileno()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            left = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if not select.select([fd], [], [], left)[0]:
-                raise subprocess.TimeoutExpired("minismt fork", timeout)
-            if not os.read(fd, 65536):
-                self.returncode = 0
-                return 0
-
-    def terminate(self):
-        self.owner.terminate()
-
-    def kill(self):
-        self.owner.kill()
 
 
 def _expand(body: Formula, vars: tuple, i: int, out: list):

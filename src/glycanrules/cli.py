@@ -115,7 +115,6 @@ def run_synth(args) -> int:
         solver=_solver_config(args),
         limits=Limits(max_iterations=args.max_iters, wall_clock_s=args.wall_clock),
         mode=args.mode,
-        symmetry=not args.no_symmetry,
     )
     # validate flags before any work
     job.resolved_width()
@@ -202,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="overall time limit in seconds")
     synth.add_argument("--mode", choices=["quantified", "instantiate-only"],
                        default="quantified")
-    synth.add_argument("--no-symmetry", action="store_true",
-                       help="disable template symmetry breaking")
     synth.add_argument("--dot", default=None, help="directory for DOT renderings")
     synth.add_argument("--dump-smt", default=None,
                        help="directory for solver query transcripts")

@@ -1,12 +1,12 @@
 """Synthesis orchestration: the candidate/counterexample loop, an exhaustive
 brute-force reference synthesizer, and report emission.
 
-The loop alternates the two solver sessions of one `Session.pair`.  The
-synthesis session holds the template-correctness constraints, the
-produce-encodings of every observed molecule, and the accumulated rejections;
-the counterexample session holds the molecule-template constraints and is
-re-targeted at each candidate rule set under push/pop.  A returned rule set
-is accepted only after the concrete forward oracle re-verifies it,
+The loop runs one solver session.  It holds the template-correctness
+constraints, the produce-encodings of every observed molecule, and the
+accumulated rejections.  Each candidate rule set it proposes goes to the
+forward oracle, whose `first_extra` returns a counterexample with its
+derivation, and the rejection is built from that derivation.  A returned
+rule set is accepted only after the oracle's `verify` passes it,
 independently of the encoder.
 """
 
@@ -21,19 +21,18 @@ from .backend import Session, SolverConfig, default_solver_config
 from .core import Dataset, Molecule, Rule, RuleSet, TreeNode, tree_positions
 from .encoder import (
     ConcreteMoleculeSide,
-    ConcreteRuleSide,
     EncodingContext,
-    ProductionVars,
     Variants,
-    decode_molecule,
     decode_rules,
     encode_produce,
-    make_molecule_template,
     make_rule_templates,
-    mol_template_correctness,
     negative_constraint,
     rule_template_correctness,
     symmetry_break,
+)
+# unused here: perfbench/spans.py patches these three names on this module
+from .encoder import (  # noqa: F401
+    decode_molecule, make_molecule_template, mol_template_correctness,
 )
 from .formula import conj
 from .grammar import serialize_molecule, serialize_rule
@@ -42,7 +41,7 @@ from .producer import (
     ClosureConfig,
     RepeatConfig,
     VerificationReport,
-    closure,
+    first_extra,
     is_rooted_prefix,
     verify,
 )
@@ -78,7 +77,9 @@ class SynthesisJob:
     solver: Optional[SolverConfig] = None
     limits: Limits = field(default_factory=Limits)
     mode: str = MODE_QUANTIFIED
-    symmetry: bool = True
+    # not a field: symmetry breaking is always on; perfbench/workloads.py
+    # hashes this value into its job fingerprint
+    symmetry = True
 
     def resolved_width(self) -> int:
         w = self.budgets.width
@@ -140,7 +141,6 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     if k < 1:
         raise ValueError("need at least one compartment")
     w = job.resolved_width()
-    h = job.resolved_height()
     variants = Variants(
         compartments=k,
         fast_slow=job.variants.fast_slow,
@@ -154,27 +154,22 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
 
     ctx = EncodingContext(data.alphabet, n, variants)
     templates = make_rule_templates(ctx, d, w, n) if n > 0 else []
-    mtemplate = make_molecule_template(ctx, h, w)
     tcons = rule_template_correctness(ctx, templates)
-    if job.symmetry and n > 1:
+    if n > 1:
         tcons = conj([tcons, symmetry_break(templates)])
-    mcons = mol_template_correctness(ctx, mtemplate, list(data.molecules))
 
     template_vars = [v for t in templates for v in t.all_vars()]
     observed_keys = {serialize_molecule(m) for m in data.molecules}
     seen_counterexamples: set[str] = set()
+    closure_cfg = job.closure_config()
 
-    with Session.pair(cfg) as (synth, cex):
+    with Session(cfg) as synth:
         synth.assert_formula(tcons)
         for mol in data.molecules:
             side = ConcreteMoleculeSide(ctx, mol)
             pf, prod = encode_produce(ctx, side, templates)
             synth.declare_order_cluster([prod.tau[p] for p in prod.paths])
             synth.assert_formula(pf)
-
-        cex.assert_formula(mcons)
-        ce_prod = ProductionVars(ctx, mtemplate)
-        cex.declare_order_cluster([ce_prod.tau[p] for p in ce_prod.paths])
 
         iteration = 0
         while True:
@@ -207,30 +202,23 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
             rules = decode_rules(ctx, model, templates) if n > 0 else RuleSet((), k)
 
             t1 = time.monotonic()
-            cex.push()
-            sides = [ConcreteRuleSide(ctx, r) for r in rules]
-            rce, _ = encode_produce(ctx, mtemplate, sides, prod=ce_prod)
-            cex.assert_formula(rce)
-            label = f"query_{iteration}_cex" if cfg.dump_dir else None
-            res2 = cex.check_sat(label)
-            if res2 == "sat":
-                ce_model = cex.get_model(
-                    [mtemplate.sugar[p] for p in mtemplate.paths]
-                    + ce_prod.all_vars()
-                )
-            cex.pop()
+            try:
+                found = first_extra(rules, data, closure_cfg)
+            except ClosureBudgetExceeded as exc:
+                outcome.status = INCONCLUSIVE
+                outcome.iterations = iteration
+                outcome.trace.append(IterationRecord(
+                    iteration, rules, None, synth_secs, time.monotonic() - t1
+                ))
+                outcome.warnings.append(f"counterexample search aborted: {exc}")
+                break
             cex_secs = time.monotonic() - t1
 
-            if res2 != "sat":
+            if found is None:
                 outcome.iterations = iteration
                 outcome.trace.append(
                     IterationRecord(iteration, rules, None, synth_secs, cex_secs)
                 )
-                if res2 == "unknown":
-                    outcome.warnings.append(
-                        "counterexample query returned unknown; "
-                        "accepting only if the oracle verifies"
-                    )
                 report = _gated_verify(job, rules, outcome)
                 if report is not None and report.passed:
                     outcome.status = SYNTHESIZED
@@ -240,7 +228,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                     outcome.status = INCONCLUSIVE
                 break
 
-            counterexample = decode_molecule(ctx, ce_model, mtemplate)
+            counterexample, steps = found
             outcome.trace.append(
                 IterationRecord(iteration, rules, counterexample, synth_secs, cex_secs)
             )
@@ -250,12 +238,11 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                 outcome.duplicate_counterexamples += 1
             seen_counterexamples.add(key)
 
-            witness = _extract_witness(ce_model, ce_prod, counterexample)
             fast_escape = variants.fast_slow and key not in observed_keys and any(
                 is_rooted_prefix(counterexample, obs) for obs in data.molecules
             )
             nc = negative_constraint(
-                ctx, templates, counterexample, witness, fast_escape
+                ctx, templates, counterexample, steps, rules, fast_escape
             )
             if nc.helper is not None:
                 synth.assert_formula(nc.helper)
@@ -293,17 +280,6 @@ def _gated_verify(job, rules: RuleSet, outcome) -> Optional[VerificationReport]:
             "returning Inconclusive"
         )
     return report
-
-
-def _extract_witness(ce_model, ce_prod: ProductionVars, counterexample: Molecule):
-    witness = {}
-    for path, _ in counterexample.positions():
-        cuts_v = ce_model.value(ce_prod.cuts[path])
-        rmatch_v = ce_model.value(ce_prod.rmatch[path]) if ce_prod.rmatch else None
-        tau_v = ce_model.value(ce_prod.tau[path])
-        comp_v = ce_model.value(ce_prod.comp[path]) if ce_prod.comp else None
-        witness[path] = (cuts_v, rmatch_v, tau_v, comp_v)
-    return witness
 
 
 # --------------------------------------------------------------------------

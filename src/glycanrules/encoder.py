@@ -3,9 +3,10 @@
 Terminology used throughout: a *rule side* or *molecule side* is either a
 symbolic template (full tree of choice variables) or a concrete value wrapped
 to expose the same interface, so the same constraint builders serve the
-synthesis query (concrete molecules vs. rule templates), the counterexample
-query (molecule template vs. concrete rules), and the concrete/concrete
-equivalence checks.
+synthesis query (concrete molecules vs. rule templates), the concrete/concrete
+equivalence checks, and the molecule template (vs. concrete rules), which the
+synthesis loop no longer queries: its counterexamples come from
+`producer.first_extra`.
 
 Node situations inside a rule tree: `KMatchAns` on the path from the root to
 the parent of the expansion root, `KExpand` on the added part, `KMatch` for
@@ -27,6 +28,7 @@ from .core import (
     TreeNode,
     index_paths,
     node_at,
+    tree_positions,
 )
 from .formula import (
     BOOL,
@@ -1105,10 +1107,12 @@ class NegativeConstraint:
 
 
 def negative_constraint(ctx: EncodingContext, templates: list[RuleTemplate],
-                        molecule: Molecule, witness: Optional[dict],
+                        molecule: Molecule, steps: Optional[list],
+                        rules: Optional[RuleSet] = None,
                         fast_escape: bool = False) -> NegativeConstraint:
     """Build `forall prod-vars. not EncodeProduce(molecule, templates)` plus
-    the eager instantiation at the counterexample's witness values.
+    the eager instantiation at the production that `steps`, the candidate
+    `rules`' derivation of the counterexample (`producer.first_extra`), gives.
 
     With `fast_escape` (the fast/slow prefix adjustment) the rejection is
     conditional: either some fast rule can extend the molecule, or it must be
@@ -1120,9 +1124,8 @@ def negative_constraint(ctx: EncodingContext, templates: list[RuleTemplate],
     body, prod = encode_produce(ctx, mol_side, rule_sides)
     quantified = forall(prod.all_vars(), not_(body))
     instance = TRUE
-    if witness is not None:
-        binding = _witness_binding(prod, witness)
-        instance = not_(substitute(body, binding))
+    if steps is not None:
+        instance = not_(substitute(body, derivation_binding(prod, rules, steps)))
     helper = None
     if fast_escape:
         escape = disj(
@@ -1136,23 +1139,31 @@ def negative_constraint(ctx: EncodingContext, templates: list[RuleTemplate],
         quantified = forall(
             prod.all_vars(), implies(bool_ref(gate), not_(body))
         )
-        if witness is not None:
-            binding = _witness_binding(prod, witness)
-            instance = implies(bool_ref(gate), not_(substitute(body, binding)))
+        instance = implies(bool_ref(gate), instance)
     return NegativeConstraint(quantified, instance, helper)
 
 
-def _witness_binding(prod: ProductionVars, witness: dict) -> dict:
+def derivation_binding(prod: ProductionVars, rules: RuleSet, steps: list) -> dict:
+    """Values of `prod` that follow `steps`, a derivation by `rules` from a
+    seed: step i (from 1) cuts at the root it attaches, and every node of its
+    piece gets `R<rule index>`, timestamp i and the step's compartment.  The
+    seed gets no cut, timestamp 0 and compartment 1."""
     binding = {}
     for p in prod.paths:
-        values = witness.get(p)
-        if values is None:
-            continue
-        cuts_v, rmatch_v, tau_v, comp_v = values
-        binding[prod.cuts[p]] = cuts_v
+        binding[prod.cuts[p]] = False
+        binding[prod.tau[p]] = 0
         if prod.rmatch:
-            binding[prod.rmatch[p]] = rmatch_v
-        binding[prod.tau[p]] = tau_v
+            binding[prod.rmatch[p]] = "R0"
         if prod.comp:
-            binding[prod.comp[p]] = comp_v
+            binding[prod.comp[p]] = 1
+    for i, step in enumerate(steps, 1):
+        root = step.path + (step.slot,)
+        binding[prod.cuts[root]] = True
+        for sub, _ in tree_positions(step.rule.expand_node()):
+            p = root + sub
+            binding[prod.tau[p]] = i
+            if prod.rmatch:
+                binding[prod.rmatch[p]] = f"R{rules.rules.index(step.rule)}"
+            if prod.comp:
+                binding[prod.comp[p]] = step.compartment
     return binding

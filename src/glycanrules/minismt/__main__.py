@@ -7,23 +7,18 @@ command), echo, reset, exit.  `(get-info :all-statistics)` reports the
 engine's work counters (`Engine.statistics`); any other key gets the solver's
 name.
 
-`--internal-fork IN,OUT` is internal to `backend.Session.pair`: IN and OUT
-are inherited pipe descriptors of a second session.  After import the
-process forks; the fork serves the second session on IN/OUT and the parent
-serves the first on stdin/stdout, then reaps the fork before it exits.
-
-The first SIGTERM ends a process with exit status 143 by unwinding, mid-query
-too; later ones are ignored, so the parent still reaps its fork.
+One process serves one session on stdin/stdout.  The first SIGTERM ends it
+with exit status 143 by unwinding, mid-query too; later ones are ignored, so
+they cannot cut the unwinding short.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import sys
 
 from .engine import Engine, SolverError
-from .sexpr import Reader, SexprError
+from .sexpr import Reader, SexprError, unparse
 
 
 class Session:
@@ -92,7 +87,7 @@ class Session:
             elif head == "echo":
                 arg = form[1]
                 text = arg[1] if isinstance(arg, tuple) and arg[0] == '"' else str(arg)
-                self.reply(f'"{text}"')
+                self.reply(unparse(('"', text)))
             elif head == "reset":
                 self.engine = Engine()
                 self.timeout_ms = None
@@ -170,46 +165,13 @@ def serve(inp, out) -> int:
     return 0
 
 
-def serve_pair(in_fd: int, out_fd: int) -> int:
-    """Serve stdin/stdout here and a forked session on `in_fd`/`out_fd`."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            # hold none of the first session's pipes, so each side sees its
-            # own end of input
-            null = os.open(os.devnull, os.O_RDWR)
-            os.dup2(null, 0)
-            os.dup2(null, 1)
-            os.close(null)
-            with open(in_fd) as inp, open(out_fd, "w") as out:
-                code = serve(inp, out)
-        except SystemExit as exc:
-            code = exc.code
-        except BaseException:
-            sys.excepthook(*sys.exc_info())
-        finally:
-            sys.stderr.flush()
-            os._exit(code)
-    os.close(in_fd)
-    os.close(out_fd)
-    try:
-        return serve(sys.stdin, sys.stdout)
-    finally:
-        os.waitpid(pid, 0)
-
-
 def _exit_on_sigterm(signum, frame):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     raise SystemExit(128 + signum)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+def main() -> int:
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    if args[:1] == ["--internal-fork"]:
-        in_fd, out_fd = (int(fd) for fd in args[1].split(","))
-        return serve_pair(in_fd, out_fd)
     return serve(sys.stdin, sys.stdout)
 
 

@@ -3,7 +3,9 @@
 This module is the ground-truth oracle for everything the constraint encoder
 claims.  `closure` enumerates the producible set with a worklist ordered by
 node count (minimal derivations first) and deduplicates via canonical
-serialization; `verify` checks a rule set against an observed dataset.
+serialization; `verify` checks a rule set against an observed dataset, and
+`first_extra` runs the same worklist only until the first molecule `verify`
+would reject, the synthesis loop's counterexample.
 
 Calls are pure; a closure is reproducible for fixed inputs.  (Parallel fan-out
 of `apply` calls would be contractually required to return the identical
@@ -140,53 +142,55 @@ def closure(seeds, rs: RuleSet, cfg: ClosureConfig) -> ClosureResult:
     flagged.  Under fast/slow semantics a slow rule extends a molecule only
     when no fast rule of the same compartment applies anywhere on it.
     """
-    seen = {}
-    witnesses = {}
-    pruned = False
+    result = ClosureResult({}, {})
+    for _ in _derive(seeds, rs, cfg, result):
+        pass
+    return result
+
+
+def _derive(seeds, rs: RuleSet, cfg: ClosureConfig, result: ClosureResult
+            ) -> Iterator[str]:
+    """The worklist behind `closure`: fills `result` and yields each
+    molecule's key when it first leaves the worklist.
+
+    Within a compartment the worklist pops smallest first (node count, then
+    key), so with one compartment the keys come in `sorted_molecules` order.
+    Raises ClosureBudgetExceeded past `cfg.max_molecules`.
+    """
+    seen, witnesses = result.molecules, result.witnesses
     for mol in seeds:
         if mol.height <= cfg.height_bound:
             seen[serialize_molecule(mol)] = mol
         else:
-            pruned = True
+            result.pruned = True
     for comp in range(1, rs.compartment_count + 1):
         rules = rs.in_compartment(comp)
-        heap = [(mol.node_count, key) for key, mol in seen.items()]
+        fast = [r for r in rules if r.fast]
+        # (size, key, first visit): later stages revisit what earlier ones found
+        heap = [(mol.node_count, key, comp == 1) for key, mol in seen.items()]
         heapq.heapify(heap)
         while heap:
-            _, key = heapq.heappop(heap)
+            _, key, first = heapq.heappop(heap)
+            if first:
+                yield key
             mol = seen[key]
             active = rules
-            if cfg.fast_slow:
-                fast = [r for r in rules if r.fast]
-                if any(is_applicable_anywhere(mol, r) for r in fast):
-                    active = fast
-            for result, rule, path, slot in applications(mol, active):
-                if result.height > cfg.height_bound:
-                    pruned = True
+            if cfg.fast_slow and any(is_applicable_anywhere(mol, r) for r in fast):
+                active = fast
+            for grown, rule, path, slot in applications(mol, active):
+                if grown.height > cfg.height_bound:
+                    result.pruned = True
                     continue
-                rkey = serialize_molecule(result)
-                if rkey in seen:
+                gkey = serialize_molecule(grown)
+                if gkey in seen:
                     continue
                 if len(seen) >= cfg.max_molecules:
                     raise ClosureBudgetExceeded(
                         f"closure exceeded {cfg.max_molecules} molecules"
                     )
-                seen[rkey] = result
-                witnesses.setdefault(rkey, DerivationStep(key, rule, path, slot, comp))
-                heapq.heappush(heap, (result.node_count, rkey))
-    return ClosureResult(seen, witnesses, pruned)
-
-
-def _same(a: Optional[TreeNode], b: Optional[TreeNode]) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    if a.label != b.label:
-        return False
-    slots = max(len(a.children), len(b.children))
-    for i in range(1, slots + 1):
-        if not _same(a.child(i), b.child(i)):
-            return False
-    return True
+                seen[gkey] = grown
+                witnesses[gkey] = DerivationStep(key, rule, path, slot, comp)
+                heapq.heappush(heap, (grown.node_count, gkey, True))
 
 
 def _exact_pos(
@@ -229,7 +233,7 @@ def _equal_outside(a: Optional[TreeNode], b: Optional[TreeNode], anchor: Path) -
             if not _equal_outside(a.child(i), b.child(i), anchor[1:]):
                 return False
         else:
-            if not _same(a.child(i), b.child(i)):
+            if not _exact_pos(a.child(i), (), b.child(i), (), None):
                 return False
     return True
 
@@ -312,16 +316,51 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def derivation_steps(witnesses: dict, key: str) -> list:
+    """The `DerivationStep`s that build molecule `key`, from its seed on."""
+    steps = []
+    while key in witnesses:
+        steps.append(witnesses[key])
+        key = steps[-1].parent
+    steps.reverse()
+    return steps
+
+
 def derivation_trail(witnesses: dict, mol: Molecule) -> list:
     key = serialize_molecule(mol)
-    trail = []
-    while key in witnesses:
-        step = witnesses[key]
-        trail.append(f"[{serialize_rule(step.rule)} @ {step.path or 'root'}]")
-        key = step.parent
-    trail.append(key)
-    trail.reverse()
-    return trail
+    steps = derivation_steps(witnesses, key)
+    seed = steps[0].parent if steps else key
+    return [seed] + [
+        f"[{serialize_rule(s.rule)} @ {s.path or 'root'}]" for s in steps
+    ]
+
+
+_EXTRA = "extra"
+_REPEAT = "repeat"
+
+
+def _judge(rs: RuleSet, data: Dataset, cfg: ClosureConfig):
+    """`judge(mol, key)` tells what `verify` makes of producible `mol`:
+    `_EXTRA`, `_REPEAT` when a repeat explains it, or None."""
+    observed = {serialize_molecule(m) for m in data.molecules}
+    fast = [r for r in rs if r.fast]
+
+    def judge(mol: Molecule, key: str) -> Optional[str]:
+        if mol.height == 0 or key in observed:
+            return None  # bare seeds are raw material, not outputs
+        if any(is_rooted_prefix(mol, obs) for obs in data.molecules):
+            if cfg.fast_slow and not any(
+                is_applicable_anywhere(mol, r) for r in fast
+            ):
+                return _EXTRA
+            return None
+        if cfg.repeat is not None and any(
+            repeat_explains(mol, obs, cfg.repeat) for obs in data.molecules
+        ):
+            return _REPEAT
+        return _EXTRA
+
+    return judge
 
 
 def verify(rs: RuleSet, data: Dataset, cfg: ClosureConfig) -> VerificationReport:
@@ -339,26 +378,15 @@ def verify(rs: RuleSet, data: Dataset, cfg: ClosureConfig) -> VerificationReport
     observed = {serialize_molecule(m): m for m in data.molecules}
     covered = [m for k, m in observed.items() if k in result.molecules]
     missing = [m for k, m in observed.items() if k not in result.molecules]
+    judge = _judge(rs, data, cfg)
     extras = []
     downgraded = []
     for mol in result.sorted_molecules():
-        if mol.height == 0:
-            continue  # bare seeds are raw material, not outputs
-        key = serialize_molecule(mol)
-        if key in observed:
-            continue
-        if any(is_rooted_prefix(mol, obs) for obs in data.molecules):
-            if cfg.fast_slow:
-                fast = [r for r in rs if r.fast]
-                if not any(is_applicable_anywhere(mol, r) for r in fast):
-                    extras.append(mol)
-            continue
-        if cfg.repeat is not None and any(
-            repeat_explains(mol, obs, cfg.repeat) for obs in data.molecules
-        ):
+        verdict = judge(mol, serialize_molecule(mol))
+        if verdict == _EXTRA:
+            extras.append(mol)
+        elif verdict == _REPEAT:
             downgraded.append(mol)
-            continue
-        extras.append(mol)
     return VerificationReport(
         covered,
         missing,
@@ -368,3 +396,19 @@ def verify(rs: RuleSet, data: Dataset, cfg: ClosureConfig) -> VerificationReport
         result.pruned,
         downgraded,
     )
+
+
+def first_extra(rs: RuleSet, data: Dataset, cfg: ClosureConfig
+                ) -> Optional[tuple[Molecule, list]]:
+    """The first molecule the closure's worklist reaches that `verify` would
+    list as an extra, with the `DerivationStep`s that build it; None when
+    `verify` would list none.  With one compartment it is the first extra
+    `verify` lists.  Raises ClosureBudgetExceeded as `closure` does.
+    """
+    result = ClosureResult({}, {})
+    judge = _judge(rs, data, cfg)
+    for key in _derive(seed_molecules(data.alphabet), rs, cfg, result):
+        mol = result.molecules[key]
+        if judge(mol, key) == _EXTRA:
+            return mol, derivation_steps(result.witnesses, key)
+    return None

@@ -155,7 +155,8 @@ def test_dump_smt_transcripts(dataset_dir, tmp_path):
     assert code == 0
     names = sorted(p.name for p in dump.glob("*.smt2"))
     assert any(n.startswith("query_1_synth") for n in names)
-    assert any(n.startswith("query_1_cex") for n in names)
+    # counterexamples come from the forward oracle, not from a solver query
+    assert not any(n.endswith("_cex.smt2") for n in names)
 
 
 def test_console_entry_point_runs():
@@ -188,6 +189,15 @@ def test_ce_strategy_flag_is_gone(capsys):
         )
     assert exc.value.code == 2
     assert "--ce-strategy" in capsys.readouterr().err
+
+
+def test_no_symmetry_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["synth", "d.gly", "--rules", "1", "--depth", "2", "--no-symmetry"]
+        )
+    assert exc.value.code == 2
+    assert "--no-symmetry" in capsys.readouterr().err
 
 
 def test_minimize_flag_is_gone_and_usage_errors_exit_one(dataset_dir, capsys):

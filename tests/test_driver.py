@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -186,3 +187,19 @@ def test_budget_validation():
         SynthesisJob(data, Budgets(rules=1, depth=2, width=1)).resolved_width()
     with pytest.raises(ValueError):
         SynthesisJob(data, Budgets(rules=1, depth=2, height=0)).resolved_height()
+
+
+def test_search_past_the_closure_budget_is_inconclusive(monkeypatch):
+    closure_config = SynthesisJob.closure_config
+    monkeypatch.setattr(
+        SynthesisJob, "closure_config",
+        lambda job: dataclasses.replace(closure_config(job), max_molecules=2),
+    )
+    data = dataset("sugar A 1; sugar B 0; mol A(A(B))")
+    out = synthesize(SynthesisJob(data, Budgets(rules=2, depth=2)))
+    assert out.status == INCONCLUSIVE and out.iterations == 1
+    assert out.counterexamples == []
+    assert any(
+        w.startswith("counterexample search aborted") and "exceeded 2 molecules" in w
+        for w in out.warnings
+    ), out.warnings

@@ -236,6 +236,14 @@ def test_basic_protocol():
     assert out == ["sat", "((p false) (q true))"]
 
 
+def test_echo_doubles_inner_quotes():
+    out = run_solver('(echo "a""b")\n(exit)\n')
+    assert out == ['"a""b"']
+    assert parse_all(out[0]) == [('"', 'a"b')]
+    # Reader releases whole forms only, so read the reply inside one
+    assert Reader().feed(f"({out[0]})\n") == [(('"', 'a"b'),)]
+
+
 def test_int_order_encoding_boundaries():
     out = run_solver(
         """(set-option :print-success true)

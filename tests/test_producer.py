@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from glycanrules.core import MonomerAlphabet, Rule, RuleSet
+from glycanrules.core import Dataset, Molecule, MonomerAlphabet, Rule, RuleSet
+from glycanrules.driver import enumerate_rules, enumerate_trees
+from glycanrules.encoder import (
+    ConcreteMoleculeSide,
+    ConcreteRuleSide,
+    EncodingContext,
+    Variants,
+    derivation_binding,
+    encode_produce,
+)
+from glycanrules.formula import TRUE, substitute
 from glycanrules.grammar import (
     parse_molecule,
     parse_rule,
@@ -15,6 +25,7 @@ from glycanrules.producer import (
     apply,
     applications,
     closure,
+    first_extra,
     repeat_explains,
     seed_molecules,
     verify,
@@ -281,3 +292,109 @@ def test_verify_hardends_gate(dataset_dir):
     report = verify(plain, data, ClosureConfig(height_bound=1))
     assert not report.passed
     assert {serialize_molecule(m) for m in report.extras} == {"A(B, C)"}
+
+
+# ---------------------------------------------------------------------------
+# first_extra: the counterexample search
+# ---------------------------------------------------------------------------
+
+SEARCH_ALPHABETS = [
+    MonomerAlphabet([("A", 1), ("B", 0)]),
+    MonomerAlphabet([("A", 2), ("B", 0)]),
+    MonomerAlphabet([("A", 1), ("B", 1)]),
+    MonomerAlphabet([("A", 2), ("B", 1), ("C", 0)]),
+]
+SEARCH_VARIANTS = [
+    Variants(),
+    Variants(compartments=2),
+    Variants(fast_slow=True),
+    Variants(hard_ends=True),
+    Variants(repeat=(1, 2)),
+]
+
+
+def search_config(variants: Variants, height: int) -> ClosureConfig:
+    repeat = RepeatConfig(*variants.repeat) if variants.repeat else None
+    return ClosureConfig(height, repeat=repeat, fast_slow=variants.fast_slow)
+
+
+def witness_folds(alphabet, rs: RuleSet, mol, steps, variants: Variants) -> bool:
+    """The derivation's binding satisfies the concrete/concrete encoding."""
+    ctx = EncodingContext(alphabet, len(rs), variants)
+    sides = [ConcreteRuleSide(ctx, r) for r in rs]
+    body, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, mol), sides)
+    return substitute(body, derivation_binding(prod, rs, steps)) is TRUE
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_extra_agrees_with_verify(seed):
+    rng = random.Random(6100 + seed)
+    found_some = 0
+    for _ in range(25):
+        alphabet = rng.choice(SEARCH_ALPHABETS)
+        variants = rng.choice(SEARCH_VARIANTS)
+        universe = [
+            Molecule(t) for t in enumerate_trees(alphabet, 2, alphabet.max_arity)
+        ]
+        data = Dataset(alphabet, tuple(rng.sample(universe, rng.randint(1, 3))))
+        candidates = enumerate_rules(
+            alphabet, 2, alphabet.max_arity, variants.compartments, variants
+        )
+        rs = RuleSet(
+            tuple(rng.sample(candidates, rng.randint(1, 3))), variants.compartments
+        )
+        cfg = search_config(variants, data.max_height + 1)
+        report = verify(rs, data, cfg)
+        found = first_extra(rs, data, cfg)
+        if found is None:
+            assert not report.extras, report.to_text()
+            continue
+        mol, steps = found
+        assert mol in report.extras
+        if rs.compartment_count == 1:
+            assert mol == report.extras[0]
+        assert witness_folds(alphabet, rs, mol, steps, variants)
+        found_some += 1
+    assert found_some
+
+
+def test_first_extra_finds_a_prefix_no_fast_rule_extends():
+    alpha = MonomerAlphabet([("A", 1), ("B", 0)])
+    data = Dataset(alpha, (parse_molecule("A(A(B))", alpha),))
+    rs = RuleSet((parse_rule("A(*A)", alpha),))  # slow
+    mol, steps = first_extra(rs, data, ClosureConfig(2, fast_slow=True))
+    assert serialize_molecule(mol) == "A(A)"
+    assert witness_folds(alpha, rs, mol, steps, Variants(fast_slow=True))
+    # without fast/slow a prefix is never an extra
+    mol, steps = first_extra(rs, data, ClosureConfig(2))
+    assert serialize_molecule(mol) == "A(A(A))" and len(steps) == 2
+    assert witness_folds(alpha, rs, mol, steps, Variants())
+
+
+def test_first_extra_skips_what_a_repeat_explains():
+    alpha = MonomerAlphabet([("A", 1), ("B", 0), ("C", 0)])
+    data = Dataset(alpha, (parse_molecule("A(B)", alpha),))
+    rs = RuleSet(tuple(
+        parse_rule(text, alpha) for text in ("A(*B)", "A(*A(B))", "A(*A(C))")
+    ))
+    repeats = ClosureConfig(2, repeat=RepeatConfig(1, 1))
+    mol, steps = first_extra(rs, data, repeats)
+    assert serialize_molecule(mol) == "A(A(C))"
+    downgraded = verify(rs, data, repeats).repeat_downgraded
+    assert [serialize_molecule(m) for m in downgraded] == ["A(A(B))"]
+    assert witness_folds(alpha, rs, mol, steps, Variants(repeat=(1, 1)))
+    mol, _ = first_extra(rs, data, ClosureConfig(2))
+    assert serialize_molecule(mol) == "A(A(B))"
+
+
+def test_first_extra_is_none_on_a_passing_rule_set(motivating, motivating_rules):
+    rs = RuleSet(tuple(motivating_rules))
+    assert first_extra(rs, motivating, ClosureConfig(4)) is None
+
+
+def test_first_extra_raises_past_the_budget():
+    alpha = MonomerAlphabet([("A", 1), ("B", 0)])
+    data = Dataset(alpha, (parse_molecule("A(A(B))", alpha),))
+    rs = RuleSet((parse_rule("A(*A)", alpha),))
+    with pytest.raises(ClosureBudgetExceeded):
+        first_extra(rs, data, ClosureConfig(2, max_molecules=2))

@@ -1,10 +1,9 @@
-"""The session pair of one synthesis, the solver's stderr in errors, and the
-solver's end when `synth` gets a SIGTERM."""
+"""The one solver session of a synthesis, the solver's stderr in errors, and
+the solver's end when `synth` gets a SIGTERM."""
 
 import contextlib
 import os
 import pathlib
-import select
 import signal
 import subprocess
 import sys
@@ -12,15 +11,15 @@ import time
 
 import pytest
 
+from glycanrules import backend
 from glycanrules.backend import (
-    PACKAGE_ROOT,
     ProtocolError,
     Session,
     SolverConfig,
     SolverLaunchError,
 )
 from glycanrules.driver import Budgets, Limits, SYNTHESIZED, SynthesisJob, synthesize
-from glycanrules.formula import IntSort, VarRegistry, int_eq, int_le, int_lt
+from glycanrules.formula import IntSort, VarRegistry, int_lt
 from glycanrules.grammar import parse_dataset
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -46,84 +45,41 @@ def tiny_job(**solver):
                         solver=SolverConfig(**solver))
 
 
-def test_bundled_pair_is_one_launch_with_a_forked_session():
-    with Session.pair(SolverConfig()) as (first, second):
-        assert isinstance(first.proc, subprocess.Popen)
-        assert not isinstance(second.proc, subprocess.Popen)
-        assert second.proc.owner is first.proc
-        assert first.proc.args[:3] == [sys.executable, "-S", "-m"]
-        assert "--internal-fork" in first.proc.args
+def test_session_closes_cleanly():
+    with Session(SolverConfig()) as session:
+        assert session.check_sat() == "sat"
+        proc = session.proc
+        assert proc.args[:3] == [sys.executable, "-S", "-m"]
+    assert proc.returncode == 0
+    assert group_gone(proc.pid)
 
 
-def test_external_solver_gets_one_process_per_session(monkeypatch):
-    monkeypatch.setenv("PYTHONPATH", PACKAGE_ROOT)
-    cfg = SolverConfig(executable=sys.executable,
-                       extra_args=("-m", "glycanrules.minismt"))
-    with Session.pair(cfg) as (first, second):
-        assert isinstance(first.proc, subprocess.Popen)
-        assert isinstance(second.proc, subprocess.Popen)
-        assert first.proc.pid != second.proc.pid
-        assert "--internal-fork" not in second.proc.args
-    assert first.proc.returncode == 0 and second.proc.returncode == 0
-
-
-def test_pair_sessions_are_independent():
-    x, y = int_vars()
-
-    def run_first(s):
-        s.assert_formula(int_lt(x, y))
-        answers = [s.check_sat()]
-        s.push()
-        s.assert_formula(int_eq(y, 0))
-        answers.append(s.check_sat())
-        s.pop()
-        answers.append(s.check_sat())
-        return answers, s.get_model([x, y]).assignment
-
-    def run_second(s):
-        s.assert_formula(int_lt(y, x))
-        s.assert_formula(int_le(3, x))
-        answers = [s.check_sat()]
-        return answers, s.get_model([x, y]).assignment
-
-    with Session(SolverConfig()) as lone:
-        alone_first = run_first(lone)
-    with Session(SolverConfig()) as lone:
-        alone_second = run_second(lone)
-    with Session.pair(SolverConfig()) as (first, second):
-        # interleaved: each assert lands between the other's queries
-        got_second = run_second(second)
-        got_first = run_first(first)
-        assert run_second(second)[0] == ["sat"]
-    assert got_first == alone_first
-    assert got_second == alone_second
-    assert alone_first[0] == ["sat", "unsat", "sat"]
-
-
-def test_pair_closes_cleanly():
-    with Session.pair(SolverConfig()) as (first, second):
-        assert first.check_sat() == "sat" and second.check_sat() == "sat"
-        owner = first.proc
-        forked_out = os.dup(second.proc.stdout.fileno())
-    try:
-        assert owner.returncode == 0
-        assert select.select([forked_out], [], [], 10)[0]
-        assert os.read(forked_out, 4096) == b""
-    finally:
-        os.close(forked_out)
-    assert group_gone(owner.pid)
-
-
-def test_pair_is_gone_when_the_client_raises():
+def test_session_is_gone_when_the_client_raises():
     x, y = int_vars()
     with pytest.raises(RuntimeError, match="client failure"):
-        with Session.pair(SolverConfig()) as (first, second):
-            owner = first.proc
-            second.assert_formula(int_lt(x, y))
-            assert second.check_sat() == "sat"
+        with Session(SolverConfig()) as session:
+            proc = session.proc
+            session.assert_formula(int_lt(x, y))
+            assert session.check_sat() == "sat"
             raise RuntimeError("client failure")
-    assert owner.poll() is not None
-    assert group_gone(owner.pid)
+    assert proc.poll() is not None
+    assert group_gone(proc.pid)
+
+
+def test_synthesize_launches_one_solver(monkeypatch):
+    launched = []
+    launch = backend._launch
+
+    def counting(config, stderr):
+        launched.append(launch(config, stderr))
+        return launched[-1]
+
+    monkeypatch.setattr(backend, "_launch", counting)
+    # takes a counterexample before it succeeds
+    data = parse_dataset("sugar A 1; sugar B 0; mol A(A(B))")
+    out = synthesize(SynthesisJob(data, Budgets(rules=2, depth=2)))
+    assert out.status == SYNTHESIZED and out.counterexamples
+    assert len(launched) == 1 and launched[0].returncode == 0
 
 
 def test_synthesize_ignores_a_bogus_pythonpath(monkeypatch, tmp_path):
@@ -131,19 +87,6 @@ def test_synthesize_ignores_a_bogus_pythonpath(monkeypatch, tmp_path):
     monkeypatch.setenv("PYTHONPATH", str(tmp_path / "no-such-dir"))
     out = synthesize(tiny_job())
     assert out.status == SYNTHESIZED
-
-
-def test_pair_transcripts_match_lone_sessions(monkeypatch, tmp_path):
-    paired = tmp_path / "paired"
-    lone = tmp_path / "lone"
-    assert synthesize(tiny_job(dump_dir=str(paired))).status == SYNTHESIZED
-    # without fork the pair falls back to two lone sessions
-    monkeypatch.delattr(os, "fork")
-    assert synthesize(tiny_job(dump_dir=str(lone))).status == SYNTHESIZED
-    names = sorted(p.name for p in paired.iterdir())
-    assert names and names == sorted(p.name for p in lone.iterdir())
-    for name in names:
-        assert (paired / name).read_bytes() == (lone / name).read_bytes()
 
 
 def test_launch_error_quotes_solver_stderr():
