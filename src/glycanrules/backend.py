@@ -7,17 +7,20 @@ formulas produce byte-identical text (deterministic name allocation and
 let-naming), which makes query transcripts replayable.
 
 Each session starts one solver process.  The default solver is the bundled
-one, started as `python -S -m glycanrules.minismt` with this package's root
-prepended to PYTHONPATH, so the child imports the same `glycanrules` as the
-client and skips `site`; it leads a process group of its own.  Set
-GLYCANRULES_SOLVER to substitute any SMT-LIB2 solver binary such as z3.  Each
-launch writes its stderr to a temporary file, and launch and protocol errors
-quote its tail.
+one, started as `python -S -c LOADER`: the client compiles `minismt` once per
+process and sends the marshalled code down the child's stdin, so the child
+skips `site`, compiles nothing and reads nothing of `glycanrules` from disk;
+it leads a process group of its own.  Set GLYCANRULES_SOLVER to substitute
+any SMT-LIB2 solver binary such as z3.  Each launch writes its stderr to a
+temporary file, and launch and protocol errors quote its tail.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import importlib.util
+import marshal
 import os
 import pathlib
 import subprocess
@@ -90,7 +93,7 @@ class SolverConfig:
     def command(self) -> list[str]:
         if self.executable:
             return [self.executable, *self.extra_args]
-        return [sys.executable, "-S", "-m", "glycanrules.minismt"]
+        return [sys.executable, "-S", "-c", LOADER]
 
 
 def default_solver_config(**overrides) -> SolverConfig:
@@ -237,8 +240,16 @@ class Model:
 TRANSCRIPT_TAIL = 8
 # bytes of the solver's stderr a launch or protocol error quotes
 STDERR_TAIL = 2048
-# the root `glycanrules` is imported from, put first on the bundled solver's path
-PACKAGE_ROOT = str(pathlib.Path(__file__).resolve().parents[1])
+# the bundled solver's modules, each after the ones it imports
+SOLVER_MODULES = ("sat", "sexpr", "engine", "__main__")
+# the bundled solver's program: reads the length-prefixed blob `_solver_code`
+# makes, registers the packages and modules, runs them in order, then `main`
+LOADER = """import sys,marshal
+for n in 'glycanrules','glycanrules.minismt':sys.modules[n]=type(sys)(n)
+i=sys.stdin.buffer
+for n,c in marshal.loads(i.read(int(i.readline()))):
+ m=sys.modules[n]=type(sys)(n);m.__package__='glycanrules.minismt';exec(c,vars(m))
+sys.exit(m.main())"""
 # seconds a solver stopped with SIGTERM gets to exit before it is killed
 TERMINATE_GRACE_S = 1.0
 
@@ -329,6 +340,9 @@ class Session:
             line = self.proc.stdout.readline()
             if line == "":
                 raise self._fail("solver closed its output mid-form")
+            # a bare atom is a whole reply that no further line completes
+            if "(" not in line and line.strip() and not reader.buffer.strip():
+                raise self._fail(f"bad get-value reply {line.strip()!r}")
             try:
                 forms = reader.feed(line)
             except SexprError as exc:
@@ -514,31 +528,44 @@ class Session:
 def _launch(config: SolverConfig, stderr):
     """Start the solver with piped stdin/stdout and stderr to `stderr`.
 
-    The bundled solver runs with `-S`, so it gets PACKAGE_ROOT first on its
-    PYTHONPATH, and it starts a process group of its own, which `terminate`
-    and `kill` signal whole.
+    The bundled solver starts a process group of its own, which `terminate`
+    and `kill` signal whole, and first reads its code from stdin.
     """
     command = config.command()
-    env = None
-    group = False
-    if not config.executable:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH")))
-        )
-        group = hasattr(os, "killpg")
+    code = None if config.executable else _solver_code()
+    group = code is not None and hasattr(os, "killpg")
     try:
-        return (_GroupPopen if group else subprocess.Popen)(
+        proc = (_GroupPopen if group else subprocess.Popen)(
             command,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=stderr,
             text=True,
-            env=env,
             start_new_session=group,
         )
     except OSError as exc:
         raise SolverLaunchError(f"cannot launch solver {command!r}: {exc}") from exc
+    if code is not None:
+        # a child that died first is reported, with its stderr, by the handshake
+        with contextlib.suppress(BrokenPipeError):
+            proc.stdin.buffer.write(code)
+            proc.stdin.buffer.flush()
+    return proc
+
+
+@functools.cache
+def _solver_code() -> bytes:
+    """SOLVER_MODULES compiled as an import would compile them, marshalled
+    with a length line for LOADER; built once per process, on first use.
+
+    The code objects keep their source paths, so tracebacks name the files.
+    """
+    codes = []
+    for module in SOLVER_MODULES:
+        name = f"glycanrules.minismt.{module}"
+        codes.append((name, importlib.util.find_spec(name).loader.get_code(name)))
+    blob = marshal.dumps(codes)
+    return b"%d\n" % len(blob) + blob
 
 
 class _GroupPopen(subprocess.Popen):

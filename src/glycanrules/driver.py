@@ -162,6 +162,9 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     observed_keys = {serialize_molecule(m) for m in data.molecules}
     seen_counterexamples: set[str] = set()
     closure_cfg = job.closure_config()
+    # set when the counterexample search hit the closure's cap, which
+    # verifying the same candidate would hit again
+    closure_aborted = False
 
     with Session(cfg) as synth:
         synth.assert_formula(tcons)
@@ -211,6 +214,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                     iteration, rules, None, synth_secs, time.monotonic() - t1
                 ))
                 outcome.warnings.append(f"counterexample search aborted: {exc}")
+                closure_aborted = True
                 break
             cex_secs = time.monotonic() - t1
 
@@ -254,7 +258,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
         # hand back the last candidate and how it fares, so the user can
         # decide whether to relax the budgets
         outcome.last_candidate = outcome.trace[-1].rules
-        if outcome.verification is None:
+        if outcome.verification is None and not closure_aborted:
             try:
                 outcome.verification = verify(
                     outcome.last_candidate, data, job.closure_config()

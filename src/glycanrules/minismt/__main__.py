@@ -7,14 +7,11 @@ command), echo, reset, exit.  `(get-info :all-statistics)` reports the
 engine's work counters (`Engine.statistics`); any other key gets the solver's
 name.
 
-One process serves one session on stdin/stdout.  The first SIGTERM ends it
-with exit status 143 by unwinding, mid-query too; later ones are ignored, so
-they cannot cut the unwinding short.
+One process serves one session on stdin/stdout.
 """
 
 from __future__ import annotations
 
-import signal
 import sys
 
 from .engine import Engine, SolverError
@@ -165,13 +162,7 @@ def serve(inp, out) -> int:
     return 0
 
 
-def _exit_on_sigterm(signum, frame):
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    raise SystemExit(128 + signum)
-
-
 def main() -> int:
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     return serve(sys.stdin, sys.stdout)
 
 

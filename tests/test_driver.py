@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from glycanrules import producer
 from glycanrules.core import Molecule, MonomerAlphabet, Rule
 from glycanrules.driver import (
     Budgets,
@@ -203,3 +204,27 @@ def test_search_past_the_closure_budget_is_inconclusive(monkeypatch):
         w.startswith("counterexample search aborted") and "exceeded 2 molecules" in w
         for w in out.warnings
     ), out.warnings
+
+
+def test_closure_at_its_cap_runs_once(monkeypatch):
+    closure_config = SynthesisJob.closure_config
+    monkeypatch.setattr(
+        SynthesisJob, "closure_config",
+        lambda job: dataclasses.replace(closure_config(job), max_molecules=2),
+    )
+    derive = producer._derive
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(producer, "_derive", counting)
+    data = dataset("sugar A 1; sugar B 0; mol A(A(B))")
+    out = synthesize(SynthesisJob(data, Budgets(rules=2, depth=2)))
+    assert out.status == INCONCLUSIVE and out.last_candidate is not None
+    # the last candidate is not verified again against the same cap
+    assert len(calls) == 1
+    aborted = [w for w in out.warnings if "aborted" in w]
+    assert len(aborted) == 1, out.warnings
+    assert aborted[0].startswith("counterexample search aborted")

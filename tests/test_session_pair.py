@@ -2,6 +2,7 @@
 the solver's end when `synth` gets a SIGTERM."""
 
 import contextlib
+import importlib.util
 import os
 import pathlib
 import signal
@@ -49,7 +50,7 @@ def test_session_closes_cleanly():
     with Session(SolverConfig()) as session:
         assert session.check_sat() == "sat"
         proc = session.proc
-        assert proc.args[:3] == [sys.executable, "-S", "-m"]
+        assert proc.args == [sys.executable, "-S", "-c", backend.LOADER]
     assert proc.returncode == 0
     assert group_gone(proc.pid)
 
@@ -64,6 +65,41 @@ def test_session_is_gone_when_the_client_raises():
             raise RuntimeError("client failure")
     assert proc.poll() is not None
     assert group_gone(proc.pid)
+
+
+def test_bundled_solver_reads_no_package_from_disk(monkeypatch, tmp_path):
+    # a child that imported `glycanrules` from its cwd or PYTHONPATH would
+    # fail on this package
+    (tmp_path / "glycanrules").mkdir()
+    (tmp_path / "glycanrules" / "__init__.py").write_text(
+        "raise ImportError('not the client package')\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    x, y = int_vars()
+    with Session(SolverConfig()) as session:
+        session.assert_formula(int_lt(x, y))
+        assert session.check_sat() == "sat"
+        session.assert_formula(int_lt(y, x))
+        assert session.check_sat() == "unsat"
+
+
+def test_second_session_does_not_compile_the_solver(monkeypatch):
+    loader = type(importlib.util.find_spec("glycanrules.minismt.engine").loader)
+    get_code = loader.get_code
+    compiled = []
+
+    def counting(self, name):
+        if name.startswith("glycanrules."):
+            compiled.append(name)
+        return get_code(self, name)
+
+    monkeypatch.setattr(loader, "get_code", counting)
+    backend._solver_code.cache_clear()
+    for _ in range(2):
+        with Session(SolverConfig()) as session:
+            assert session.check_sat() == "sat"
+    assert compiled == [f"glycanrules.minismt.{m}" for m in backend.SOLVER_MODULES]
 
 
 def test_synthesize_launches_one_solver(monkeypatch):
@@ -83,7 +119,7 @@ def test_synthesize_launches_one_solver(monkeypatch):
 
 
 def test_synthesize_ignores_a_bogus_pythonpath(monkeypatch, tmp_path):
-    # the solver child imports the client's own package root first
+    # the bundled solver child gets its code from the client, not the path
     monkeypatch.setenv("PYTHONPATH", str(tmp_path / "no-such-dir"))
     out = synthesize(tiny_job())
     assert out.status == SYNTHESIZED
@@ -117,6 +153,31 @@ def test_protocol_error_quotes_solver_stderr():
     # only the last STDERR_TAIL bytes of the stderr are quoted
     assert "x" * 1000 in message and "x" * 2100 not in message
     assert message.rstrip().endswith("(check-sat)")
+
+
+def test_bare_atom_for_a_model_is_a_protocol_error():
+    # answers success, sat, then `unsupported` to get-value; the sleep bounds
+    # the wait of a client that keeps reading for the rest of a form
+    fake = (
+        "import sys, time\n"
+        "for line in sys.stdin:\n"
+        "    if line.startswith('(check-sat'):\n"
+        "        print('sat', flush=True)\n"
+        "    elif line.startswith('(get-value'):\n"
+        "        print('unsupported', flush=True)\n"
+        "        time.sleep(10)\n"
+        "        break\n"
+        "    else:\n"
+        "        print('success', flush=True)\n"
+    )
+    cfg = SolverConfig(executable=sys.executable, extra_args=("-c", fake))
+    x, _ = int_vars()
+    started = time.monotonic()
+    with pytest.raises(ProtocolError, match="bad get-value reply 'unsupported'"):
+        with Session(cfg) as s:
+            assert s.check_sat() == "sat"
+            s.get_model([x])
+    assert time.monotonic() - started < 5
 
 
 # Runs `synth` with 11-pigeons-in-10-holes conjoined to the synthesis query,
