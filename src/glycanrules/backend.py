@@ -2,9 +2,10 @@
 
 The session speaks SMT-LIB2 v2.6 text over a solver's pipes: one
 `(check-sat)` per query, models fetched with `(get-value ...)` over explicit
-variable lists, scoped retraction via `(push 1)`/`(pop 1)`.  Identical
-formulas produce byte-identical text (deterministic name allocation and
-let-naming), which makes query transcripts replayable.
+variable lists.  Assertions only accumulate; a caller that needs one taken
+back opens a new session.  Identical formulas produce byte-identical text
+(deterministic name allocation and let-naming), which makes query transcripts
+replayable.
 
 Each session starts one solver process.  The default solver is the bundled
 one, started as `python -S -c LOADER`: the client compiles `minismt` once per
@@ -265,7 +266,6 @@ class Session:
         self.commands: deque[str] = deque(
             maxlen=None if config.dump_dir else TRANSCRIPT_TAIL
         )
-        self.depth = 0
         self.check_count = 0
         self._emitter = _Emitter()
         self.stderr = tempfile.TemporaryFile()
@@ -471,16 +471,6 @@ class Session:
         if missing:
             raise self._fail(f"model misses {missing[:5]}")
         return Model(assignment)
-
-    def push(self):
-        self.depth += 1
-        self._send("(push 1)", expect="success")
-
-    def pop(self):
-        if self.depth == 0:
-            raise BackendError("pop at depth 0")
-        self.depth -= 1
-        self._send("(pop 1)", expect="success")
 
     def close(self):
         try:

@@ -162,8 +162,8 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     observed_keys = {serialize_molecule(m) for m in data.molecules}
     seen_counterexamples: set[str] = set()
     closure_cfg = job.closure_config()
-    # set when the counterexample search hit the closure's cap, which
-    # verifying the same candidate would hit again
+    # set when the counterexample search or the oracle gate hit the closure's
+    # cap, which verifying the same candidate would hit again
     closure_aborted = False
 
     with Session(cfg) as synth:
@@ -224,12 +224,13 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                     IterationRecord(iteration, rules, None, synth_secs, cex_secs)
                 )
                 report = _gated_verify(job, rules, outcome)
+                outcome.verification = report
                 if report is not None and report.passed:
                     outcome.status = SYNTHESIZED
                     outcome.rules = rules
-                    outcome.verification = report
                 else:
                     outcome.status = INCONCLUSIVE
+                    closure_aborted = report is None
                 break
 
             counterexample, steps = found

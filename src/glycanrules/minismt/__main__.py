@@ -1,11 +1,12 @@
 """SMT-LIB2 stdin/stdout protocol front end for the bundled solver.
 
-Reads commands, answers on stdout; supports the fragment the session layer
-emits: set-logic/set-option/set-info, declare-datatypes (enumerations only),
-declare-fun (zero-ary), assert, check-sat, get-value, push/pop (one level per
-command), echo, reset, exit.  `(get-info :all-statistics)` reports the
-engine's work counters (`Engine.statistics`); any other key gets the solver's
-name.
+Reads commands, answers on stdout.  It supports the commands the session
+layer sends: set-option, set-logic, set-info, declare-datatypes (enumerations
+only), declare-fun (zero-ary), assert, check-sat, get-value and exit.
+Assertions only accumulate; there is no push, pop or reset.  Besides those,
+`(get-info :all-statistics)` reports the engine's work counters
+(`Engine.statistics`), and get-info of any other key gets the solver's name.
+Every other command answers `(error "unsupported command ...")`.
 
 One process serves one session on stdin/stdout.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import sys
 
 from .engine import Engine, SolverError
-from .sexpr import Reader, SexprError, unparse
+from .sexpr import Reader, SexprError
 
 
 class Session:
@@ -60,9 +61,6 @@ class Session:
                     raise SolverError("only zero-ary declarations supported")
                 self.engine.declare_fun(name, sort)
                 self.success()
-            elif head == "declare-const":
-                self.engine.declare_fun(form[1], form[2])
-                self.success()
             elif head == "assert":
                 term = expand_lets(form[1], {})
                 self.engine.assert_term(term)
@@ -73,22 +71,6 @@ class Session:
                 pairs = self.engine.get_values(list(form[1]))
                 body = " ".join(f"({n} {v})" for n, v in pairs)
                 self.reply(f"({body})")
-            elif head == "push":
-                for _ in range(form[1] if len(form) > 1 else 1):
-                    self.engine.push()
-                self.success()
-            elif head == "pop":
-                for _ in range(form[1] if len(form) > 1 else 1):
-                    self.engine.pop()
-                self.success()
-            elif head == "echo":
-                arg = form[1]
-                text = arg[1] if isinstance(arg, tuple) and arg[0] == '"' else str(arg)
-                self.reply(unparse(('"', text)))
-            elif head == "reset":
-                self.engine = Engine()
-                self.timeout_ms = None
-                self.success()
             elif head == "exit":
                 self.success()
                 self.done = True

@@ -8,7 +8,7 @@ finite-sorted bound variables whose body is (=> <range-guard> <body>).
 Ground formulas are lowered to CNF (Tseitin with polarity, one-hot enums,
 order-encoded integers) over an incremental CDCL core.  Universals are
 checked model-by-model (MBQI): each candidate model is tested against every
-active universal by a dedicated sub-engine solving for a violating
+universal by a dedicated sub-engine solving for a violating
 instantiation.  One round lowers the instances of all the witnesses found,
 adds their clauses to the model with `Solver.add_model_clauses`, and resumes
 the search from the trail they leave standing; rounds repeat until no
@@ -48,19 +48,12 @@ SEARCH_STATS = ("decisions", "conflicts", "undone", "restarts", "learned")
 
 
 class Universal:
-    def __init__(self, bounds, guard, body, scope_depth):
+    def __init__(self, bounds, guard, body):
         self.bounds = bounds  # list of (name, sort-descr, (lo, hi) or None)
         self.guard = guard
         self.body = body
-        self.scope_depth = scope_depth
         self.sub = None  # lazily built sub-engine
         self.free_vars = None
-
-
-class Scope:
-    def __init__(self, selector):
-        self.selector = selector  # sat var or None at depth 0
-        self.universals: list[Universal] = []
 
 
 class Engine:
@@ -82,13 +75,12 @@ class Engine:
         self.min_aux: dict[str, int] = {}
         self.lowered_cluster_min = False  # set by _atom_int_eq_const
         self.aux: dict[tuple, int] = {}
-        self.scopes = [Scope(None)]
+        self.universals: list[Universal] = []
         self.model_vals: list | None = None
         self.is_sub = is_sub
         self.mbqi_rounds = 0
         self.instances = 0
         self.violation_solves = 0
-        self.popped_work = dict.fromkeys(SEARCH_STATS + ("clauses", "vars"), 0)
 
     # ------------- declarations -------------
 
@@ -537,7 +529,6 @@ class Engine:
         return False  # a genuinely different constraint: lower it normally
 
     def assert_term(self, term, _split_ok=True):
-        scope = self.scopes[-1]
         if isinstance(term, tuple) and term and term[0] == "forall":
             self._assert_forall(term)
             return
@@ -547,9 +538,7 @@ class Engine:
             for sub in term[1:]:
                 self.assert_term(sub)
             return
-        lit = self._lower_root(term)
-        guard = [] if scope.selector is None else [neg(2 * scope.selector)]
-        self.sat.add_clause(guard + [lit])
+        self.sat.add_clause([self._lower_root(term)])
 
     def _lower_root(self, term) -> int:
         """Literal of an asserted term, whose cluster minima must be positive."""
@@ -644,34 +633,9 @@ class Engine:
                 resolved.append((name, sort, (lo_hi[0], lo_hi[1])))
             else:
                 resolved.append((name, sort, None))
-        uni = Universal(resolved, guard, real, len(self.scopes) - 1)
-        self.scopes[-1].universals.append(uni)
-
-    # ------------- scopes -------------
-
-    def push(self):
-        sel = self.sat.new_var()
-        self.scopes.append(Scope(sel))
-
-    def pop(self):
-        if len(self.scopes) == 1:
-            raise SolverError("pop at depth 0")
-        scope = self.scopes.pop()
-        for uni in scope.universals:
-            if uni.sub is not None:
-                _add_work(self.popped_work, uni.sub.sat)
-        self.sat.add_clause([neg(2 * scope.selector)])
-        self.model_vals = None
+        self.universals.append(Universal(resolved, guard, real))
 
     # ------------- solving -------------
-
-    def _selector_assumptions(self):
-        return [2 * s.selector for s in self.scopes if s.selector is not None]
-
-    def _active_universals(self):
-        for scope in self.scopes:
-            for uni in scope.universals:
-                yield uni
 
     def check_sat(self, timeout_ms=None) -> str:
         deadline = None
@@ -681,9 +645,7 @@ class Engine:
         rounds = 0
         resume = False
         while True:
-            res = self.sat.solve(
-                self._selector_assumptions(), deadline=deadline, resume=resume
-            )
+            res = self.sat.solve(deadline=deadline, resume=resume)
             if res is False:
                 return "unsat"
             if res is None:
@@ -694,7 +656,7 @@ class Engine:
             if self._refine_clusters(snapshot):
                 continue
             found = []
-            for uni in self._active_universals():
+            for uni in self.universals:
                 wit = self._find_violation(uni, snapshot, deadline)
                 if wit == "unknown":
                     return "unknown"
@@ -720,9 +682,7 @@ class Engine:
         self.add_clause = clauses.append
         try:
             for uni, wit in found:
-                lit = self._lower_root(substitute(uni.body, wit))
-                sel = self.scopes[uni.scope_depth].selector
-                clauses.append([lit] if sel is None else [neg(2 * sel), lit])
+                clauses.append([self._lower_root(substitute(uni.body, wit))])
         finally:
             self.add_clause = self.sat.add_clause
         return clauses
@@ -832,15 +792,16 @@ class Engine:
 
         Decisions, conflicts, undone assignments, restarts, learned and
         problem clauses and variables add up the main SAT solver and every
-        violation sub-solver, those of popped universals included.  Solves
-        count the main solver's calls, and resumed solves those of them that
-        searched on from a kept trail.
+        violation sub-solver.  Solves count the main solver's calls, and
+        resumed solves those of them that searched on from a kept trail.
         """
-        work = dict(self.popped_work)
-        _add_work(work, self.sat)
-        for uni in self._active_universals():
-            if uni.sub is not None:
-                _add_work(work, uni.sub.sat)
+        work = dict.fromkeys(SEARCH_STATS + ("clauses", "vars"), 0)
+        subs = [u.sub.sat for u in self.universals if u.sub is not None]
+        for solver in [self.sat] + subs:
+            for key in SEARCH_STATS:
+                work[key] += getattr(solver, key)
+            work["clauses"] += len(solver.clauses) - solver.learned
+            work["vars"] += solver.nvars
         return [(f":{key}", count) for key, count in work.items()] + [
             (":solves", self.sat.solves),
             (":resumed-solves", self.sat.resumed),
@@ -853,13 +814,6 @@ class Engine:
         if self.model_vals is None:
             raise SolverError("no model available")
         return [(n, self._value_from(self.model_vals, n)) for n in names]
-
-
-def _add_work(total: dict, solver: Solver):
-    for key in SEARCH_STATS:
-        total[key] += getattr(solver, key)
-    total["clauses"] += len(solver.clauses) - solver.learned
-    total["vars"] += solver.nvars
 
 
 def collect_symbols(term) -> set:

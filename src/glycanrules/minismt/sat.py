@@ -9,9 +9,11 @@ just found and keeps the part of its trail the batch allows, for
 order axioms and for each MBQI round's instances.  A one-literal clause added
 that way above level 0 is asserted at the current level and again after every
 backjump below it, until the search is back at level 0.  `solve` accepts
-assumption literals that are decided first, so scoped assertions can be
-switched with selector variables.  All heuristics (activity ordering, phase
-saving, Luby restarts) break ties by variable index, so runs are reproducible.
+assumption literals that are decided first; only the engine's violation
+sub-solvers use them, to fix a universal's free variables to the candidate
+model's values, and the main solver is called without any.  All heuristics
+(activity ordering, phase saving, Luby restarts) break ties by variable
+index, so runs are reproducible.
 The decision order is a `heapq` of (-activity, var) tuples with lazy deletion
 of the entries a bump leaves stale (see `_bump`).
 """

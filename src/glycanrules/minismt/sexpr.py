@@ -20,11 +20,14 @@ class SexprError(ValueError):
     pass
 
 
+# the tokens of '(' and ')': no symbol contains '|', so a quoted symbol such
+# as |(| is never taken for one
+OPEN, CLOSE = "|(", "|)"
 _PIECE = 4096  # bounds the copies and token lists a long line costs at once
 
 
 def tokenize(text: str):
-    """Yield the tokens of `text`: '(' and ')', symbols, ints and ('"', text)."""
+    """Yield the tokens of `text`: OPEN, CLOSE, symbols, ints and ('"', text)."""
     i, n = 0, len(text)
     # the next index of each special character (n if none); each search
     # starts past the last, so finding them costs one pass per character
@@ -39,7 +42,7 @@ def tokenize(text: str):
             # plain text a piece at a time, so a long line is not copied and
             # split whole; a piece ends at a space, which no token spans
             k = j if j - i <= _PIECE else text.find(" ", i + _PIECE, j) + 1 or j
-            run = (text[i:k].replace("(", " ( ").replace(")", " ) ")
+            run = (text[i:k].replace("(", " |( ").replace(")", " |) ")
                    .replace("\t", " ").replace("\r", " ").replace("\n", " "))
             for tok in run.split(" "):
                 if tok:
@@ -85,10 +88,10 @@ def parse_all(text: str):
     stack = []
     top = []
     for tok in tokenize(text):
-        if tok == "(":
+        if tok == OPEN:
             stack.append(top)
             top = []
-        elif tok == ")":
+        elif tok == CLOSE:
             if not stack:
                 raise SexprError("unbalanced ')'")
             done = tuple(top)
@@ -161,11 +164,3 @@ class Reader:
                     last_complete = i + 1
             i += 1
         return last_complete
-
-
-def unparse(form) -> str:
-    if isinstance(form, tuple):
-        if len(form) == 2 and form[0] == '"':
-            return '"' + form[1].replace('"', '""') + '"'
-        return "(" + " ".join(unparse(f) for f in form) + ")"
-    return str(form)

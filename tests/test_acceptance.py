@@ -37,6 +37,7 @@ from glycanrules.encoder import (
     rule_template_correctness,
     symmetry_break,
 )
+from glycanrules.formula import BOOL, bool_ref, disj, implies
 from glycanrules.grammar import parse_dataset, serialize_molecule
 from glycanrules.producer import (
     ClosureConfig,
@@ -123,9 +124,13 @@ def test_criterion_3_encoder_oracle_equivalence():
         alphabet = ALPHABETS_C3[instances % len(ALPHABETS_C3)]
         candidates = enumerate_rules(alphabet, 2, alphabet.max_arity, 1, Variants())
         # one session per batch: contexts sharing it must agree on the rule
-        # count so the shared RuleId sort matches
+        # count so the shared RuleId sort matches.  Each pair's production
+        # variables are fresh and the rule sides concrete, so pairs share no
+        # variable: the positives hold together iff each holds, and no
+        # negative holds iff none of their guards can be switched on
         n_rules = min(rng.randint(1, 3), len(candidates))
         universe = None
+        guards = []  # (guard, molecule, rules) of the batch's negatives
         with Session(SolverConfig()) as session:
             for inst in range(batch_size):
                 rules = rng.sample(candidates, n_rules)
@@ -147,25 +152,34 @@ def test_criterion_3_encoder_oracle_equivalence():
                     alphabet, len(rules), namespace=f"i{instances}_"
                 )
                 sides = [ConcreteRuleSide(ctx, r) for r in rules]
-                for mol, expected in [(m, "sat") for m in positives] + [
-                    (m, "unsat") for m in negatives
-                ]:
+                for mol in positives + negatives:
                     f, prod = encode_produce(
                         ctx, ConcreteMoleculeSide(ctx, mol), sides
                     )
-                    session.push()
                     session.declare_order_cluster(
                         [prod.tau[p] for p in prod.paths]
                     )
-                    session.assert_formula(f)
-                    got = session.check_sat()
-                    session.pop()
-                    assert got == expected, (
-                        f"disagreement on {serialize_molecule(mol)} under "
-                        f"{[str(r) for r in rules]}"
-                    )
+                    if mol in reach:
+                        session.assert_formula(f)
+                        assert session.check_sat() == "sat", (
+                            f"{serialize_molecule(mol)} not producible under "
+                            f"{[str(r) for r in rules]}"
+                        )
+                    else:
+                        guard = ctx.registry.make("negative", BOOL)
+                        session.assert_formula(implies(bool_ref(guard), f))
+                        guards.append((guard, mol, rules))
                     pairs += 1
                 instances += 1
+            session.assert_formula(disj([bool_ref(g) for g, _, _ in guards]))
+            got = session.check_sat()
+            if got == "sat":
+                model = session.get_model([g for g, _, _ in guards])
+                got = [
+                    f"{serialize_molecule(mol)} under {[str(r) for r in rules]}"
+                    for g, mol, rules in guards if model.value(g)
+                ]
+            assert got == "unsat", f"negatives producible: {got}"
     elapsed = time.monotonic() - started
     assert elapsed <= 600.0, f"{elapsed:.1f}s"
     report(

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from glycanrules import producer
+from glycanrules import driver, producer
 from glycanrules.core import Molecule, MonomerAlphabet, Rule
 from glycanrules.driver import (
     Budgets,
@@ -228,3 +228,46 @@ def test_closure_at_its_cap_runs_once(monkeypatch):
     aborted = [w for w in out.warnings if "aborted" in w]
     assert len(aborted) == 1, out.warnings
     assert aborted[0].startswith("counterexample search aborted")
+
+
+def test_candidate_the_oracle_gate_rejects_is_verified_once(monkeypatch):
+    # with no counterexample search, the first candidate reaches the gate
+    # although it produces more than the observed molecules
+    monkeypatch.setattr(driver, "first_extra", lambda *args: None)
+    verify = driver.verify
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(driver, "verify", counting)
+    data = dataset("sugar A 1; sugar B 0; mol A(A(B))")
+    out = synthesize(SynthesisJob(data, Budgets(rules=2, depth=2)))
+    assert out.status == INCONCLUSIVE and out.last_candidate is not None
+    assert len(calls) == 1
+    assert out.verification is not None and not out.verification.passed
+    assert any(w.startswith("encoder accepted") for w in out.warnings), out.warnings
+
+
+def test_gate_at_the_closure_cap_verifies_once(monkeypatch):
+    closure_config = SynthesisJob.closure_config
+    monkeypatch.setattr(
+        SynthesisJob, "closure_config",
+        lambda job: dataclasses.replace(closure_config(job), max_molecules=2),
+    )
+    monkeypatch.setattr(driver, "first_extra", lambda *args: None)
+    verify = driver.verify
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(driver, "verify", counting)
+    data = dataset("sugar A 1; sugar B 0; mol A(A(B))")
+    out = synthesize(SynthesisJob(data, Budgets(rules=2, depth=2)))
+    assert out.status == INCONCLUSIVE and out.verification is None
+    assert len(calls) == 1
+    aborted = [w for w in out.warnings if "aborted" in w]
+    assert len(aborted) == 1 and aborted[0].startswith("oracle verification aborted")

@@ -101,6 +101,15 @@ def solve(formulas, read=(), config=None):
     return res, model
 
 
+def check_produce(ctx, mol, sides) -> str:
+    """check-sat of "the rule sides produce `mol`", in a session of its own."""
+    f, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, mol), sides)
+    with Session(SolverConfig()) as s:
+        s.declare_order_cluster([prod.tau[p] for p in prod.paths])
+        s.assert_formula(f)
+        return s.check_sat()
+
+
 def test_correctness_rejects_bad_assignments():
     ctx = EncodingContext(AB2, 1)
     (t,) = make_rule_templates(ctx, 2, 2, 1)
@@ -125,16 +134,10 @@ def test_random_rules_roundtrip_through_templates():
     ctx = EncodingContext(AB2, 1)
     (t,) = make_rule_templates(ctx, 2, 2, 1)
     tcons = rule_template_correctness(ctx, [t])
-    with Session(SolverConfig()) as s:
-        s.assert_formula(tcons)
-        for rule in sample:
-            s.push()
-            s.assert_formula(pin_rule(ctx, t, rule))
-            assert s.check_sat() == "sat", serialize_rule(rule)
-            model = s.get_model(t.all_vars())
-            decoded = decode_rules(ctx, model, [t]).rules[0]
-            assert decoded == rule
-            s.pop()
+    for rule in sample:
+        res, model = solve([tcons, pin_rule(ctx, t, rule)], t.all_vars())
+        assert res == "sat", serialize_rule(rule)
+        assert decode_rules(ctx, model, [t]).rules[0] == rule
 
 
 def test_every_correctness_model_decodes():
@@ -206,19 +209,12 @@ def test_encoder_oracle_agreement_smoke(seed):
     negatives = [m for m in universe if m not in reach][:8]
     ctx = EncodingContext(alphabet, len(rules))
     sides = [ConcreteRuleSide(ctx, r) for r in rules]
-    with Session(SolverConfig()) as s:
-        for mol, expected in [(m, "sat") for m in positives] + [
-            (m, "unsat") for m in negatives
-        ]:
-            f, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, mol), sides)
-            s.push()
-            s.declare_order_cluster([prod.tau[p] for p in prod.paths])
-            s.assert_formula(f)
-            got = s.check_sat()
-            s.pop()
-            assert got == expected, (
-                f"{serialize_molecule(mol)} vs {[serialize_rule(r) for r in rules]}"
-            )
+    for mol, expected in [(m, "sat") for m in positives] + [
+        (m, "unsat") for m in negatives
+    ]:
+        assert check_produce(ctx, mol, sides) == expected, (
+            f"{serialize_molecule(mol)} vs {[serialize_rule(r) for r in rules]}"
+        )
 
 
 def test_counterexample_validity(motivating, first_iteration_rules):
@@ -316,22 +312,10 @@ def test_compartment_constraints_entailed_at_k1(dataset_dir):
     bad = parse_molecule("Q(S(X(W)))", data.alphabet)
     # flat: producible; staged: not
     ctx1 = EncodingContext(data.alphabet, 3)
-    f, prod = encode_produce(
-        ctx1, ConcreteMoleculeSide(ctx1, bad), [ConcreteRuleSide(ctx1, r) for r in flat]
-    )
-    with Session(SolverConfig()) as s:
-        s.declare_order_cluster([prod.tau[p] for p in prod.paths])
-        s.assert_formula(f)
-        assert s.check_sat() == "sat"
+    assert check_produce(ctx1, bad, [ConcreteRuleSide(ctx1, r) for r in flat]) == "sat"
     ctx2 = EncodingContext(data.alphabet, 3, Variants(compartments=2))
-    f, prod = encode_produce(
-        ctx2, ConcreteMoleculeSide(ctx2, bad),
-        [ConcreteRuleSide(ctx2, r) for r in staged],
-    )
-    with Session(SolverConfig()) as s:
-        s.declare_order_cluster([prod.tau[p] for p in prod.paths])
-        s.assert_formula(f)
-        assert s.check_sat() == "unsat"
+    sides2 = [ConcreteRuleSide(ctx2, r) for r in staged]
+    assert check_produce(ctx2, bad, sides2) == "unsat"
 
 
 def test_hard_end_encoding_matches_oracle():
@@ -347,15 +331,9 @@ def test_hard_end_encoding_matches_oracle():
         "A(_, C)": "sat",
         "A(B, C)": "unsat",  # mutually exclusive hard ends
     }
-    with Session(SolverConfig()) as s:
-        for text, expected in cases.items():
-            mol = parse_molecule(text, alphabet)
-            f, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, mol), sides)
-            s.push()
-            s.declare_order_cluster([prod.tau[p] for p in prod.paths])
-            s.assert_formula(f)
-            assert s.check_sat() == expected, text
-            s.pop()
+    for text, expected in cases.items():
+        mol = parse_molecule(text, alphabet)
+        assert check_produce(ctx, mol, sides) == expected, text
 
 
 def test_fast_dominance_encoding_matches_oracle():
@@ -366,14 +344,8 @@ def test_fast_dominance_encoding_matches_oracle():
     sides = [ConcreteRuleSide(ctx, r) for r in (slow, fast)]
     blocked = parse_molecule("A(C)", alphabet)
     allowed = parse_molecule("A(B)", alphabet)
-    with Session(SolverConfig()) as s:
-        for mol, expected in ((blocked, "unsat"), (allowed, "sat")):
-            f, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, mol), sides)
-            s.push()
-            s.declare_order_cluster([prod.tau[p] for p in prod.paths])
-            s.assert_formula(f)
-            assert s.check_sat() == expected, serialize_molecule(mol)
-            s.pop()
+    for mol, expected in ((blocked, "unsat"), (allowed, "sat")):
+        assert check_produce(ctx, mol, sides) == expected, serialize_molecule(mol)
     # with the variant off the same molecule is producible
     ctx0 = EncodingContext(alphabet, 2)
     plain = [Rule(r.root, r.expand_path, r.hard_ends, 1, False) for r in (slow, fast)]

@@ -386,15 +386,14 @@ def test_transcript_replays_with_same_answers(tmp_path):
     y = reg.make("y", IntSort(0, 4))
     cfg = SolverConfig(dump_dir=str(tmp_path))
     with Session(cfg) as s:
-        s.assert_formula(int_lt(x, y))
+        s.assert_formula(int_le(x, 3))
         assert s.check_sat("q1") == "sat"
-        s.push()
+        s.assert_formula(int_lt(x, y))
+        assert s.check_sat("q2") == "sat"
         s.assert_formula(int_lt(y, x))
-        assert s.check_sat("q2") == "unsat"
-        s.pop()
-        assert s.check_sat("q3") == "sat"
+        assert s.check_sat("q3") == "unsat"
     replayed = replay_transcript(tmp_path / "q3.smt2")
-    assert replayed == ["sat", "unsat", "sat"]
+    assert replayed == ["sat", "sat", "unsat"]
 
 
 def replay_transcript(path):
@@ -421,18 +420,6 @@ def replay_transcript(path):
     ]
     assert len(answers) == len(expected)
     return answers
-
-
-def test_push_pop_scoping():
-    b, c, x, y = make_vars()
-    with Session(SolverConfig()) as s:
-        s.assert_formula(int_le(x, 1))
-        assert s.check_sat() == "sat"
-        s.push()
-        s.assert_formula(int_le(2, x))
-        assert s.check_sat() == "unsat"
-        s.pop()
-        assert s.check_sat() == "sat"
 
 
 def test_substitute_leaves_no_reference_cycles():

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from glycanrules.minismt.engine import Engine, substitute
+from glycanrules.minismt.engine import substitute
 from glycanrules.minismt import sexpr
-from glycanrules.minismt.sexpr import Reader, SexprError, parse_all, unparse
+from glycanrules.minismt.sexpr import CLOSE, OPEN, Reader, SexprError, parse_all
 from glycanrules.minismt.__main__ import expand_lets, serve
 
 
@@ -26,8 +26,17 @@ def run_solver(script: str) -> list[str]:
 
 def test_sexpr_roundtrip():
     forms = parse_all('(assert (and (<= 0 x) (or a (not b)) "str lit"))')
-    assert len(forms) == 1
-    assert unparse(forms[0]) == '(assert (and (<= 0 x) (or a (not b)) "str lit"))'
+    assert forms == [
+        ("assert", ("and", ("<=", 0, "x"), ("or", "a", ("not", "b")), ('"', "str lit")))
+    ]
+
+
+def test_quoted_parentheses_are_symbols():
+    assert parse_all("(a |(| b)") == [("a", "(", "b")]
+    assert parse_all("(a |)| b)") == [("a", ")", "b")]
+    with pytest.raises(SexprError, match="unbalanced '\\('"):
+        parse_all("(a |)| b")
+    assert Reader().feed("(a |)| b") == []
 
 
 def test_reader_handles_split_forms():
@@ -42,7 +51,8 @@ def test_reader_handles_split_forms():
 
 def ref_tokenize(text: str):
     """The reader's tokenizer as it was, one character at a time, except
-    that only ASCII `-?[0-9]+` is a numeral."""
+    that only ASCII `-?[0-9]+` is a numeral and parentheses have tokens of
+    their own."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -54,7 +64,7 @@ def ref_tokenize(text: str):
                 i += 1
             continue
         if ch in "()":
-            yield ch
+            yield OPEN if ch == "(" else CLOSE
             i += 1
             continue
         if ch == '"':
@@ -96,9 +106,9 @@ def ref_tokenize(text: str):
 def ref_parse_all(text: str):
     stack = [[]]
     for tok in ref_tokenize(text):
-        if tok == "(":
+        if tok == OPEN:
             stack.append([])
-        elif tok == ")":
+        elif tok == CLOSE:
             if len(stack) == 1:
                 raise SexprError("unbalanced ')'")
             done = tuple(stack.pop())
@@ -149,7 +159,7 @@ READER_ATOMS = ["a", "x1", "v520_p3_tau_2222", ":named", "=>", "<=", "0", "42",
                 "-7", "007", "-", "--5", "²", "٣", "-٣", "a\x0bb", "b\xa0c", "1e5"]
 READER_SPACES = [" ", " ", "  ", "\t", "\n", "\r\n", ""]
 READER_QUOTED = ['"a ( b"', '"say ""hi"""', '"; no comment"', '"|"', '""',
-                 "; a ( comment \" |\n", ";\n", "|a b|", "|(|", '|;"|', "||",
+                 "; a ( comment \" |\n", ";\n", "|a b|", "|(|", "|)|", '|;"|', "||",
                  '"two\nlines"']
 READER_BROKEN = [")", "(", '"open', "|open", "; no newline"]
 
@@ -236,12 +246,21 @@ def test_basic_protocol():
     assert out == ["sat", "((p false) (q true))"]
 
 
-def test_echo_doubles_inner_quotes():
-    out = run_solver('(echo "a""b")\n(exit)\n')
-    assert out == ['"a""b"']
-    assert parse_all(out[0]) == [('"', 'a"b')]
-    # Reader releases whole forms only, so read the reply inside one
-    assert Reader().feed(f"({out[0]})\n") == [(('"', 'a"b'),)]
+@pytest.mark.parametrize("command", [
+    "(push 1)", "(pop 1)", "(reset)", "(declare-const x Bool)", '(echo "x")',
+])
+def test_commands_no_session_sends_are_unsupported(command):
+    out = io.StringIO()
+    serve(io.StringIO(f"""(declare-fun p () Bool)
+(assert p)
+{command}
+(check-sat)
+(get-value (p))
+(exit)
+"""), out)
+    replies = out.getvalue().splitlines()
+    assert replies[0].startswith('(error "unsupported command '), replies
+    assert replies[1:] == ["sat", "((p true))"]
 
 
 def test_int_order_encoding_boundaries():
@@ -252,15 +271,12 @@ def test_int_order_encoding_boundaries():
 (assert (< x 3))
 (check-sat)
 (get-value (x))
-(push 1)
 (assert (< x 2))
-(check-sat)
-(pop 1)
 (check-sat)
 (exit)
 """
     )
-    assert out == ["sat", "((x 2))", "unsat", "sat"]
+    assert out == ["sat", "((x 2))", "unsat"]
 
 
 def test_unbounded_int_is_an_error():
@@ -420,16 +436,21 @@ def test_cluster_model_is_repaired_away_from_cycles():
         f"(declare-fun {v} () Int)\n(assert (and (<= 0 {v}) (<= {v} 2)))\n"
         for v in "abc"
     )
-    out = run_solver(
+    head = (
         "(set-option :print-success true)\n" + decls
-        + """(set-info :order-cluster (a b c))
-(push 1)
-(assert (< a b))
+        + "(set-info :order-cluster (a b c))\n"
+    )
+    cycle = run_solver(
+        head + """(assert (< a b))
 (assert (< b c))
 (assert (< c a))
 (check-sat)
-(pop 1)
-(assert (< a b))
+(exit)
+"""
+    )
+    assert cycle == ["unsat"]
+    chain = run_solver(
+        head + """(assert (< a b))
 (assert (< b c))
 (check-sat)
 (get-value (a b c))
@@ -438,7 +459,7 @@ def test_cluster_model_is_repaired_away_from_cycles():
 (exit)
 """
     )
-    assert out == ["unsat", "sat", "((a 0) (b 1) (c 2))", "unsat"]
+    assert chain == ["sat", "((a 0) (b 1) (c 2))", "unsat"]
 
 
 def cluster_script(body: str, hint: bool) -> str:
@@ -519,19 +540,6 @@ def test_mbqi_universal_unsat():
 """
     )
     assert out == ["unsat"]
-
-
-def test_engine_pop_reenables_models():
-    eng = Engine()
-    eng.declare_fun("a", "Bool")
-    eng.assert_term(("or", "a", "a"))
-    assert eng.check_sat() == "sat"
-    eng.push()
-    eng.assert_term(("not", "a"))
-    assert eng.check_sat() == "unsat"
-    eng.pop()
-    assert eng.check_sat() == "sat"
-    assert eng.get_values(["a"]) == [("a", "true")]
 
 
 def test_timeout_returns_unknown():
@@ -660,16 +668,16 @@ def mbqi_holds(assertion, env) -> bool:
 
 @pytest.mark.parametrize("trial", range(60))
 def test_mbqi_agrees_with_the_expanded_problem(trial):
-    """Random universals, ground asserts and scopes: every check-sat answers
-    as the fully expanded ground problem does, and every model satisfies all
-    active assertions."""
+    """Random universals and ground asserts, checked after each batch: every
+    check-sat answers as the fully expanded ground problem does, and every
+    model satisfies all assertions made so far."""
     rng = random.Random(3000 + trial)
     lines = ["(declare-datatypes ((E 0)) (((M0) (M1) (M2))))"]
     for name, sort in MBQI_FREE.items():
         lines.append(f"(declare-fun {name} () {sort})")
         if sort == "Int":
             lines.append(f"(assert (and (<= 0 {name}) (<= {name} 2)))")
-    scopes = [[]]  # the active assertions, per scope
+    asserted = []  # the assertions made so far
     checks = []  # the assertions active at each check-sat
     universals = 0
 
@@ -679,28 +687,20 @@ def test_mbqi_agrees_with_the_expanded_problem(trial):
             if universals < 3 and rng.random() < 0.6:
                 text, parts = random_universal(rng, universals)
                 universals += 1
-                scopes[-1].append(("forall", parts))
+                asserted.append(("forall", parts))
             else:
                 text = random_mbqi_term(rng, MBQI_FREE, 2)
-                scopes[-1].append(("ground", parse_all(text)[0]))
+                asserted.append(("ground", parse_all(text)[0]))
             lines.append(f"(assert {text})")
 
     def check():
         lines.append("(check-sat)")
         lines.append(f"(get-value ({' '.join(MBQI_FREE)}))")
-        checks.append([a for scope in scopes for a in scope])
+        checks.append(list(asserted))
 
-    add_assertions(rng.randint(1, 3))
-    check()
-    for _ in range(rng.randint(1, 2)):
-        lines.append("(push 1)")
-        scopes.append([])
+    for _ in range(rng.randint(2, 3)):
         add_assertions(rng.randint(1, 3))
         check()
-        if rng.random() < 0.7:
-            lines.append("(pop 1)")
-            scopes.pop()
-            check()
     lines.append("(exit)")
     out = io.StringIO()
     serve(io.StringIO("\n".join(lines) + "\n"), out)
