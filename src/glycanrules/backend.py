@@ -277,7 +277,6 @@ class Session:
         try:
             self._send("(set-option :print-success true)", expect="success")
             self._send("(set-option :produce-models true)", expect="success")
-            self._send("(set-option :global-declarations true)", expect="success")
             self._send(f"(set-option :timeout {config.timeout_ms})", expect="success")
             self._send(f"(set-logic {LOGIC})", expect="success")
         except BaseException as exc:

@@ -5,8 +5,12 @@ must follow each declaration), enumeration datatypes, the connectives
 and/or/not/=>/= , integer comparisons, and universal quantifiers over
 finite-sorted bound variables whose body is (=> <range-guard> <body>).
 
-Ground formulas are lowered to CNF (Tseitin with polarity, one-hot enums,
-order-encoded integers) over an incremental CDCL core.  Universals are
+Ground formulas are lowered to CNF over an incremental CDCL core: enums
+one-hot, integers order-encoded, and each compound subterm a literal with a
+full biconditional (Tseitin) definition, usable in either polarity.  One
+table per engine, `Engine.lowered`, maps each term structure to its literal,
+so a subterm that recurs, in one assertion, a later one or an MBQI instance,
+is defined once; each sub-engine keeps a table of its own.  Universals are
 checked model-by-model (MBQI): each candidate model is tested against every
 universal by a dedicated sub-engine solving for a violating
 instantiation.  One round lowers the instances of all the witnesses found,
@@ -16,7 +20,8 @@ universal is violated (finite domains guarantee termination).
 
 Integer variables named in a `(set-info :order-cluster (...))` hint are
 lowered as a strict weak order via pairwise precedence Booleans instead of
-order bits; only var<var, var<=var and positive var=lo atoms may touch them.
+order bits; only var<var, var<=var and positive var=lo atoms may touch them,
+and the hint must come before any comparison on its members is lowered.
 Only asymmetry is asserted up front.  Transitivity and the weak-order axiom
 are added lazily: each SAT model is checked in O(n^2) per cluster against the
 ranks (a member's rank is its number of predecessors), every mismatched pair
@@ -75,6 +80,8 @@ class Engine:
         self.min_aux: dict[str, int] = {}
         self.lowered_cluster_min = False  # set by _atom_int_eq_const
         self.aux: dict[tuple, int] = {}
+        # term -> (literal, True if a cluster minimum lies below it)
+        self.lowered: dict[tuple, tuple] = {}
         self.universals: list[Universal] = []
         self.model_vals: list | None = None
         self.is_sub = is_sub
@@ -112,23 +119,33 @@ class Engine:
         `_refine_clusters` adds the transitivity and weak-order axioms of a
         triple once a model breaks it.
         """
-        cid = len(self.clusters)
-        group = []
-        for nm in names:
+        group = list(names)
+        # an atom lowered through order bits would stay unlinked to the
+        # precedences, and `self.lowered` would keep reusing it
+        ordered = {name for name, _ in self.order_bits}
+        ordered.update(x for key in self.aux for x in key[1:])
+        seen = set()
+        for nm in group:
             if self.decls.get(nm) != INT:
                 raise SolverError(f"cluster member {nm} is not an Int")
-            if nm in self.cluster_of:
+            if nm in self.cluster_of or nm in seen:
                 raise SolverError(f"{nm} already in a cluster")
             if nm not in self.int_bounds:
                 raise SolverError(f"cluster member {nm} has no range yet")
-            self.cluster_of[nm] = cid
-            group.append(nm)
+            if nm in ordered:
+                raise SolverError(
+                    f"cluster member {nm} is already in a lowered comparison"
+                )
+            seen.add(nm)
         lo, hi = self.int_bounds[group[0]]
         for nm in group:
             if self.int_bounds[nm] != (lo, hi):
                 raise SolverError("cluster members must share one range")
         if hi - lo + 1 < len(group):
             raise SolverError("cluster range narrower than the chain length")
+        cid = len(self.clusters)
+        for nm in group:
+            self.cluster_of[nm] = cid
         self.clusters.append(group)
         for x in group:
             for y in group:
@@ -385,9 +402,13 @@ class Engine:
 
     # ------------- tseitin lowering -------------
 
-    def _lower(self, term, memo) -> int:
+    def _lower(self, term) -> int:
         """Literal equisatisfiably representing `term` (full biconditional
-        definitions, so the literal is usable in any polarity)."""
+        definitions, so the literal is usable in any polarity).
+
+        Lowered once per distinct term: `self.lowered` maps each term
+        structure to its literal, and whether a cluster minimum lies below.
+        """
         if isinstance(term, str):
             if term == "true":
                 return self.sat.true_lit
@@ -399,17 +420,24 @@ class Engine:
             raise SolverError(f"unknown boolean symbol {term!r}")
         if not isinstance(term, tuple):
             raise SolverError(f"unexpected term {term!r}")
-        key = id(term)
-        hit = memo.get(key)
-        if hit is not None:
-            # the stored reference keeps `term` alive, so a live id cannot
-            # have been recycled by a structurally different tuple
-            return hit[1]
+        hit = self.lowered.get(term)
+        if hit is None:
+            outer = self.lowered_cluster_min
+            self.lowered_cluster_min = False
+            lit = self._define(term)
+            hit = self.lowered[term] = (lit, self.lowered_cluster_min)
+            self.lowered_cluster_min = outer
+        if hit[1]:
+            self.lowered_cluster_min = True
+        return hit[0]
+
+    def _define(self, term) -> int:
+        """Literal of the compound `term`, after adding its definition."""
         head = term[0]
         if head == "not":
-            lit = neg(self._lower(term[1], memo))
+            lit = neg(self._lower(term[1]))
         elif head in ("and", "or"):
-            args = [self._lower(t, memo) for t in term[1:]]
+            args = [self._lower(t) for t in term[1:]]
             if head == "and":
                 args = [a for a in args if a != self.sat.true_lit]
                 if any(a == neg(self.sat.true_lit) for a in args):
@@ -442,7 +470,7 @@ class Engine:
             # right-associative chain
             args = term[1:]
             rewritten = ("or",) + tuple(("not", a) for a in args[:-1]) + (args[-1],)
-            lit = self._lower(rewritten, memo)
+            lit = self._lower(rewritten)
         elif head in ("<", "<=", ">", ">="):
             a, b = term[1], term[2]
             if head == ">":
@@ -470,13 +498,13 @@ class Engine:
                         ("<=", a, b),
                         ("<=", b, a),
                     )
-                    lit = self._lower(both, memo)
+                    lit = self._lower(both)
             elif self._is_enum_operand(a) and self._is_enum_operand(b):
                 lit = self._atom_enum_eq(a, b)
             else:
                 # boolean equivalence
-                la = self._lower(a, memo)
-                lb = self._lower(b, memo)
+                la = self._lower(a)
+                lb = self._lower(b)
                 if la == lb:
                     lit = self.sat.true_lit
                 elif la == neg(lb):
@@ -491,10 +519,9 @@ class Engine:
         elif head == "ite":
             c, t, e = term[1], term[2], term[3]
             rewritten = ("and", ("=>", c, t), ("=>", ("not", c), e))
-            lit = self._lower(rewritten, memo)
+            lit = self._lower(rewritten)
         else:
             raise SolverError(f"unsupported operator {head!r}")
-        memo[key] = (term, lit)
         return lit
 
     # ------------- assertions -------------
@@ -543,7 +570,7 @@ class Engine:
     def _lower_root(self, term) -> int:
         """Literal of an asserted term, whose cluster minima must be positive."""
         self.lowered_cluster_min = False
-        lit = self._lower(term, {})
+        lit = self._lower(term)
         if self.lowered_cluster_min:
             self._check_cluster_min_polarity(term)
         return lit
@@ -645,6 +672,8 @@ class Engine:
         rounds = 0
         resume = False
         while True:
+            if deadline is not None and time.monotonic() >= deadline:
+                return "unknown"
             res = self.sat.solve(deadline=deadline, resume=resume)
             if res is False:
                 return "unsat"
@@ -683,6 +712,13 @@ class Engine:
         try:
             for uni, wit in found:
                 clauses.append([self._lower_root(substitute(uni.body, wit))])
+        except SolverError:
+            # `self.lowered` keeps the literals defined so far; their
+            # definitions, and the instances, which the universals imply,
+            # must reach the solver
+            for lits in clauses:
+                self.sat.add_clause(lits)
+            raise
         finally:
             self.add_clause = self.sat.add_clause
         return clauses

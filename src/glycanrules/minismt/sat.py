@@ -409,7 +409,8 @@ class Solver:
     # ----- main search -----
 
     def solve(self, assumptions=(), deadline=None, resume=False):
-        """True = sat, False = unsat, None = `deadline` passed.
+        """True = sat, False = unsat, None = `deadline` passed, as tested
+        after each conflict.
 
         With `resume`, search continues from the current trail, which must
         have been left by `add_model_clauses` after a solve with the same
@@ -429,7 +430,6 @@ class Solver:
             self.ok = False
             return False
         assumptions = list(assumptions)
-        conflicts = 0
         luby_idx = 1
         restart_budget = 128 * _luby(luby_idx)
         since_restart = 0
@@ -437,7 +437,6 @@ class Solver:
             conf = self.propagate()
             if conf != -1:
                 self.conflicts += 1
-                conflicts += 1
                 since_restart += 1
                 if len(self.trail_lim) <= len(assumptions):
                     # conflict depends only on assumptions and level 0
@@ -459,8 +458,7 @@ class Solver:
                     self.ok = False
                     return False
                 self.var_inc /= 0.95
-                if (conflicts % 256 == 0 and deadline is not None
-                        and time.monotonic() > deadline):
+                if deadline is not None and time.monotonic() >= deadline:
                     self._cancel_until(0)
                     return None
                 if len(self.learned_idx) > 4000 + len(self.clauses) // 4:

@@ -355,9 +355,10 @@ def test_transcript_keeps_a_tail_unless_dumped(tmp_path):
             s.assert_formula(f)
         assert s.check_sat("full") == "sat"
     lines = (tmp_path / "full.smt2").read_text().splitlines()
-    # 5 options, 6 declarations with their range asserts, 5 asserts, check-sat
+    # 3 options and set-logic, 6 declarations with their range asserts,
+    # 5 asserts, check-sat
     assert lines[0] == "(set-option :print-success true)"
-    assert len(lines) == 5 + 12 + 5 + 2
+    assert len(lines) == 4 + 12 + 5 + 2
     assert lines[-2:] == ["(check-sat)", "; expect sat"]
 
 

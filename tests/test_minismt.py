@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from glycanrules.minismt.engine import substitute
+from glycanrules.minismt.engine import Engine, substitute
 from glycanrules.minismt import sexpr
 from glycanrules.minismt.sexpr import CLOSE, OPEN, Reader, SexprError, parse_all
 from glycanrules.minismt.__main__ import expand_lets, serve
@@ -308,9 +308,7 @@ def test_enum_datatype_and_distinct_members():
     assert out == ["sat", "((a Broken) (b Broken))"]
 
 
-def random_ground_script(rng):
-    """Random formula over 2 bools, 1 enum (3 members), 2 ints in [0,2]."""
-    decls = """(set-option :print-success true)
+GROUND_DECLS = """(set-option :print-success true)
 (declare-datatypes ((E 0)) (((M0) (M1) (M2))))
 (declare-fun p () Bool)
 (declare-fun q () Bool)
@@ -321,7 +319,14 @@ def random_ground_script(rng):
 (assert (and (<= 0 y) (<= y 2)))
 """
 
+
+def random_ground_term(rng, depth, pool=()):
+    """Random formula over 2 bools, 1 enum (3 members), 2 ints in [0,2];
+    given a `pool` of subterms, a leaf is one of them half of the time."""
+
     def atom():
+        if pool and rng.random() < 0.5:
+            return rng.choice(pool)
         k = rng.randrange(6)
         if k == 0:
             return "p"
@@ -343,8 +348,21 @@ def random_ground_script(rng):
             return f"(not {term(depth - 1)})"
         return f"({op} {term(depth - 1)} {term(depth - 1)})"
 
-    asserts = [f"(assert {term(3)})" for _ in range(rng.randint(1, 4))]
-    return decls + "\n".join(asserts) + "\n(check-sat)\n(exit)\n", asserts
+    return term(depth)
+
+
+def random_ground_script(rng):
+    asserts = [f"(assert {random_ground_term(rng, 3)})" for _ in range(rng.randint(1, 4))]
+    return GROUND_DECLS + "\n".join(asserts) + "\n(check-sat)\n(exit)\n", asserts
+
+
+GROUND_ENVS = [
+    {"p": p, "q": q, "e": e, "x": x, "y": y}
+    for p, q in itertools.product([False, True], repeat=2)
+    for e in ("M0", "M1", "M2")
+    for x in range(3)
+    for y in range(3)
+]
 
 
 def eval_sexpr(term, env):
@@ -378,15 +396,51 @@ def test_ground_solving_agrees_with_enumeration(trial):
     script, asserts = random_ground_script(rng)
     answer = run_solver(script)[0]
     terms = [parse_all(a)[0][1] for a in asserts]
-    expected = False
-    for p, q in itertools.product([False, True], repeat=2):
-        for e in ("M0", "M1", "M2"):
-            for x in range(3):
-                for y in range(3):
-                    env = {"p": p, "q": q, "e": e, "x": x, "y": y}
-                    if all(eval_sexpr(t, env) for t in terms):
-                        expected = True
+    expected = any(all(eval_sexpr(t, env) for t in terms) for env in GROUND_ENVS)
     assert answer == ("sat" if expected else "unsat"), script
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_reused_subterms_agree_with_enumeration(trial):
+    """2-5 assertions built from one pool of subterms, so that later ones
+    reuse literals the engine already holds for them: every check-sat
+    answers as enumeration does, and every model satisfies the assertions."""
+    rng = random.Random(5000 + trial)
+    pool = [random_ground_term(rng, 2) for _ in range(rng.randint(2, 5))]
+    asserts = [random_ground_term(rng, 2, pool) for _ in range(rng.randint(2, 5))]
+    lines = [GROUND_DECLS]
+    for a in asserts:
+        lines += [f"(assert {a})", "(check-sat)", "(get-value (p q e x y))"]
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n(exit)\n"), out)
+    replies = [r for r in out.getvalue().splitlines() if r != "success"]
+    terms = [parse_all(a)[0] for a in asserts]
+    for i in range(len(asserts)):
+        answer, values = replies[2 * i], replies[2 * i + 1]
+        active = terms[: i + 1]
+        expected = any(all(eval_sexpr(t, env) for t in active) for env in GROUND_ENVS)
+        assert answer == ("sat" if expected else "unsat"), (i, lines)
+        if answer == "sat":
+            model = {}
+            for name, value in parse_all(values)[0]:
+                model[name] = value == "true" if name in "pq" else value
+            assert all(eval_sexpr(t, model) for t in active), (i, model, lines)
+
+
+def statistics_of(script: str) -> dict:
+    out = io.StringIO()
+    serve(io.StringIO(script + "(get-info :all-statistics)\n(exit)\n"), out)
+    stats = parse_all(out.getvalue().splitlines()[-1])[0]
+    return dict(zip(stats[::2], stats[1::2]))
+
+
+def test_a_term_asserted_again_adds_no_variables_or_clauses():
+    decls = "".join(f"(declare-fun {v} () Bool)\n" for v in "pqr")
+    term = "(assert (or (and p q) (and q r)))\n"
+    once = statistics_of(decls + term)
+    twice = statistics_of(decls + term + term)
+    assert (once[":vars"], once[":clauses"]) == (7, 9)
+    assert (twice[":vars"], twice[":clauses"]) == (7, 9)
 
 
 @pytest.mark.parametrize("trial", range(37))
@@ -513,6 +567,36 @@ def test_cluster_minimum_in_positive_polarity_is_allowed(term):
     assert run_solver(cluster_script(f"(assert {term})", hint=True)) == ["sat"]
 
 
+def test_cluster_minimum_negated_through_a_lowered_subterm_is_an_error():
+    """The second assertion finds (or (= t0 0) ...) lowered already, and its
+    polarity check must still see the negated cluster minimum below it."""
+    body = """(assert (or (= t0 0) (< t1 t2)))
+(assert (not (or (= t0 0) (< t1 t2))))"""
+    out = run_solver(cluster_script(body, hint=True))
+    assert out[0].startswith("(error") and "t0 = 0" in out[0], out
+    assert out[1:] == ["sat"]
+
+
+def test_late_cluster_hint_is_an_error():
+    """(< t0 1) is lowered through order bits before the hint, which could
+    never link them to the precedences: the hint must be refused, not give a
+    model with t0 = 1."""
+    decls = "".join(
+        f"(declare-fun {v} () Int)\n(assert (and (<= 0 {v}) (<= {v} 2)))\n"
+        for v in ("t0", "t1")
+    )
+    out = run_solver(
+        "(set-option :print-success true)\n" + decls + """(assert (< t0 1))
+(set-info :order-cluster (t0 t1))
+(assert (< t1 t0))
+(check-sat)
+(exit)
+"""
+    )
+    assert out[0].startswith("(error") and "t0" in out[0], out
+    assert out[1:] == ["unsat"]
+
+
 def test_mbqi_universal_over_enum():
     out = run_solver(
         """(set-option :print-success true)
@@ -562,6 +646,17 @@ def test_timeout_returns_unknown():
     assert out[0] in ("unknown", "unsat")  # tiny instances may still finish
 
 
+def test_passed_deadline_answers_unknown_before_an_mbqi_round():
+    engine = Engine()
+    engine.declare_fun("x", "Int")
+    engine.assert_term(parse_all("(and (<= 0 x) (<= x 3))")[0])
+    engine.assert_term(parse_all(
+        "(forall ((u Int)) (=> (and (<= 0 u) (<= u 3)) (not (= u x))))")[0])
+    assert engine.check_sat(timeout_ms=0) == "unknown"
+    assert engine.mbqi_rounds == 0 and engine.violation_solves == 0
+    assert engine.check_sat() == "unsat"
+
+
 def test_substitute_leaves_no_reference_cycles():
     term = ("and", ("=", "x", "y"), ("or", ("not", "b"), ("<=", "x", 3)))
     assert substitute(term, {"x": 2, "b": "true"}) == (
@@ -608,8 +703,8 @@ def test_all_statistics_repeat_on_a_replayed_transcript(dataset_dir, tmp_path):
     # The exact search.  A change that leaves every decision as it is keeps
     # these counts; one that means to change the search updates them.
     assert counts == {
-        ":decisions": 84, ":conflicts": 14, ":undone": 2037, ":restarts": 0,
-        ":learned": 5, ":clauses": 2831, ":vars": 1064, ":solves": 6,
+        ":decisions": 85, ":conflicts": 15, ":undone": 1944, ":restarts": 0,
+        ":learned": 5, ":clauses": 2674, ":vars": 1000, ":solves": 6,
         ":resumed-solves": 4, ":mbqi-rounds": 2, ":instances": 2,
         ":violation-solves": 3,
     }

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from glycanrules.minismt.sat import Solver
 
@@ -41,17 +42,31 @@ def test_unit_propagation_chain():
     assert all(s.value(v) for v in vs)
 
 
-def test_pigeonhole_3_into_2_unsat():
+def pigeonhole(holes):
+    """Unsat: holes + 1 pigeons, each in a hole, no two in one."""
     # p[i][j]: pigeon i in hole j
     s = Solver()
-    p = [[s.new_var() for _ in range(2)] for _ in range(3)]
-    for i in range(3):
-        s.add_clause([2 * p[i][0], 2 * p[i][1]])
-    for j in range(2):
-        for a in range(3):
-            for b in range(a + 1, 3):
+    p = [[s.new_var() for _ in range(holes)] for _ in range(holes + 1)]
+    for i in range(holes + 1):
+        s.add_clause([2 * v for v in p[i]])
+    for j in range(holes):
+        for a in range(holes + 1):
+            for b in range(a + 1, holes + 1):
                 s.add_clause([2 * p[a][j] + 1, 2 * p[b][j] + 1])
-    assert s.solve() is False
+    return s
+
+
+def test_pigeonhole_3_into_2_unsat():
+    assert pigeonhole(2).solve() is False
+
+
+def test_passed_deadline_stops_the_first_conflict():
+    """The deadline is tested at every conflict, not every 256th."""
+    s = pigeonhole(4)
+    assert s.solve() is False and 0 < s.conflicts < 256
+    s = pigeonhole(4)
+    assert s.solve(deadline=time.monotonic() - 1) is None
+    assert s.conflicts == 1
 
 
 def test_assumptions_and_incremental():
