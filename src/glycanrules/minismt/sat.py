@@ -16,6 +16,14 @@ model's values, and the main solver is called without any.  All heuristics
 index, so runs are reproducible.
 The decision order is a `heapq` of (-activity, var) tuples with lazy deletion
 of the entries a bump leaves stale (see `_bump`).
+
+Each clause is watched on two literals.  A watch entry of a longer clause is
+its index in `clauses`; one of a binary clause holds the other literal,
+encoded as -2 - lit, so `propagate` implies it without fetching the clause.
+Having no third literal to watch, a binary clause keeps its two entries
+where they were added.  The literal it implies gets the reason
+-2 - falsified, from which conflict analysis rebuilds the clause.  Binary
+clauses are stored in `clauses` as well, and count among the problem clauses.
 """
 
 from __future__ import annotations
@@ -36,10 +44,15 @@ class Solver:
     def __init__(self):
         self.clauses: list = []  # each entry: list of lits, or None when deleted
         self.learned_idx: list[int] = []
+        # per literal: the clauses to visit when it becomes false, as clause
+        # indices, or -2 - lit for a binary clause whose other literal is lit
         self.watches: list[list[int]] = []
         self.litval: list[int] = []  # per literal: 0 unknown, 1 true, -1 false
         self.level: list[int] = []
-        self.reason: list[int] = []  # clause index or -1
+        # per variable: -1 for a decision or a level-0 fact, else the index
+        # of the clause that implied it, or -2 - lit for a binary clause whose
+        # other literal lit is false
+        self.reason: list[int] = []
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -49,7 +62,7 @@ class Solver:
         self.heap: list[tuple] = []  # (-activity, var) entries; see `_bump`
         self.heap_entry: list[tuple] = []  # per variable: its newest entry
         self.in_heap = bytearray()  # per variable: 1 if that entry is in `heap`
-        self.units: list[int] = []  # reasons of units `_reassert_units` keeps
+        self.units: list[int] = []  # literals `_reassert_units` keeps asserting
         self.ok = True
         self.nvars = 0
         # work counters, read by `Engine.statistics`
@@ -137,13 +150,24 @@ class Solver:
             if not self._enqueue(out[0], -1):
                 self.ok = False
                 return False
-            self.ok = self.propagate() == -1
+            self.ok = self.propagate() is None
             return self.ok
-        ci = len(self.clauses)
-        self.clauses.append(out)
-        self.watches[out[0]].append(ci)
-        self.watches[out[1]].append(ci)
+        self._watch(out)
         return True
+
+    def _watch(self, lits) -> int:
+        """Store the clause `lits` and watch its first two literals; returns
+        the reason of its first literal, should the clause imply it."""
+        ci = len(self.clauses)
+        self.clauses.append(lits)
+        a, b = lits[0], lits[1]
+        if len(lits) == 2:
+            self.watches[a].append(-2 - b)
+            self.watches[b].append(-2 - a)
+            return -2 - b
+        self.watches[a].append(ci)
+        self.watches[b].append(ci)
+        return ci
 
     def _normalised(self, lits):
         """`lits` without repeats and literals false at level 0; None if the
@@ -193,25 +217,22 @@ class Solver:
         # next best, before any unit is enqueued
         implied = []
         for out in kept:
-            ci = len(self.clauses)
             if len(out) == 1:
                 # the unit's reason; watching ¬true leaves it to
                 # `_reassert_units` to assert the unit after a backjump
+                self.units.append(out[0])
                 out.append(self.true_lit ^ 1)
-                self.units.append(ci)
-            else:
-                # non-false literals first, then false ones from the highest
-                # level
-                out.sort(key=lambda lit: (litval[lit] == -1, -level[lit >> 1]))
-                if litval[out[1]] == -1 and litval[out[0]] == 0:
-                    implied.append(ci)
-            self.clauses.append(out)
-            self.watches[out[0]].append(ci)
-            self.watches[out[1]].append(ci)
+                self._watch(out)
+                continue
+            # non-false literals first, then false ones from the highest level
+            out.sort(key=lambda lit: (litval[lit] == -1, -level[lit >> 1]))
+            reason = self._watch(out)
+            if litval[out[1]] == -1 and litval[out[0]] == 0:
+                implied.append((out[0], reason))
         # a unit made false by an earlier one is a conflict that `propagate`
         # finds, since the earlier literal waits in the queue
-        for ci in implied:
-            self._enqueue(self.clauses[ci][0], ci)
+        for lit, reason in implied:
+            self._enqueue(lit, reason)
 
     def _reassert_units(self) -> bool:
         """Enqueue the unassigned units of `add_model_clauses`.
@@ -223,17 +244,12 @@ class Solver:
         the units become facts and the list empties.  Returns False if one is
         false at level 0.
         """
-        clauses, litval = self.clauses, self.litval
-        false = self.true_lit ^ 1
+        litval = self.litval
         root = not self.trail_lim
-        for ci in self.units:
-            clause = clauses[ci]
-            if clause[0] == false:
-                # `propagate` swapped the unit behind ¬true on a conflict
-                clause[0], clause[1] = clause[1], false
-            unit = clause[0]
+        reason = -1 if root else -2 - (self.true_lit ^ 1)
+        for unit in self.units:
             if litval[unit] == 0:
-                self._enqueue(unit, -1 if root else ci)
+                self._enqueue(unit, reason)
             elif root and litval[unit] == -1:
                 return False
         if root:
@@ -241,14 +257,11 @@ class Solver:
         return True
 
     def _add_learned(self, lits) -> int:
+        """Store and watch a learned clause of two or more literals; returns
+        the reason of its first literal."""
         self.learned += 1
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        self.learned_idx.append(ci)
-        if len(lits) >= 2:
-            self.watches[lits[0]].append(ci)
-            self.watches[lits[1]].append(ci)
-        return ci
+        self.learned_idx.append(len(self.clauses))
+        return self._watch(lits)
 
     # ----- assignment -----
 
@@ -266,8 +279,8 @@ class Solver:
         self.trail.append(lit)
         return True
 
-    def propagate(self) -> int:
-        """Returns a conflicting clause index or -1."""
+    def propagate(self):
+        """Returns the literals of a conflicting clause, or None."""
         clauses, litval, watches = self.clauses, self.litval, self.watches
         trail, level, reason, phase = self.trail, self.level, self.reason, self.phase
         depth = len(self.trail_lim)
@@ -279,6 +292,26 @@ class Solver:
             kept = []
             keep = kept.append
             for i, ci in enumerate(watchers):
+                if ci < 0:
+                    # a binary clause, met without fetching it
+                    keep(ci)
+                    first = -2 - ci
+                    val = litval[first]
+                    if val == 1:
+                        continue
+                    if val == -1:
+                        kept.extend(watchers[i + 1:])
+                        watches[falsified] = kept
+                        self.qhead = qhead
+                        return [first, falsified]
+                    litval[first] = 1
+                    litval[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = depth
+                    reason[v] = -2 - falsified
+                    phase[v] = not (first & 1)
+                    trail.append(first)
+                    continue
                 clause = clauses[ci]
                 if clause is None:
                     continue
@@ -303,7 +336,7 @@ class Solver:
                         kept.extend(watchers[i + 1:])
                         watches[falsified] = kept
                         self.qhead = qhead
-                        return ci
+                        return clause
                     litval[first] = 1
                     litval[first ^ 1] = -1
                     v = first >> 1
@@ -313,7 +346,7 @@ class Solver:
                     trail.append(first)
             watches[falsified] = kept
         self.qhead = qhead
-        return -1
+        return None
 
     def _cancel_until(self, target: int):
         trail_lim = self.trail_lim
@@ -340,14 +373,16 @@ class Solver:
 
     # ----- conflict analysis -----
 
-    def _analyze(self, conflict: int):
+    def _analyze(self, conflict):
+        """The learned clause of the conflicting clause `conflict` (its
+        literals), asserting literal first, and the level to backjump to."""
         learnt = []
         seen = [False] * self.nvars
         counter = 0
         lit = -1
         index = len(self.trail)
         cur_level = len(self.trail_lim)
-        clause = self.clauses[conflict]
+        clause = conflict
         while True:
             for q in clause if lit == -1 else clause[1:]:
                 v = var_of(q)
@@ -368,7 +403,8 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            clause = self.clauses[self.reason[v]]
+            r = self.reason[v]
+            clause = self.clauses[r] if r >= 0 else (lit, -2 - r)
         learnt.insert(0, neg(lit))
         # cheap minimization: drop literals implied by the rest
         filtered = [learnt[0]]
@@ -379,7 +415,7 @@ class Solver:
                 continue
             if any(
                 not seen[var_of(p)] and self.level[var_of(p)] > 0
-                for p in self.clauses[r]
+                for p in (self.clauses[r] if r >= 0 else (-2 - r,))
                 if var_of(p) != var_of(q)
             ):
                 filtered.append(q)
@@ -426,7 +462,7 @@ class Solver:
         if not self._reassert_units():
             self.ok = False
             return False
-        if not resume and self.propagate() != -1:
+        if not resume and self.propagate() is not None:
             self.ok = False
             return False
         assumptions = list(assumptions)
@@ -435,7 +471,7 @@ class Solver:
         since_restart = 0
         while True:
             conf = self.propagate()
-            if conf != -1:
+            if conf is not None:
                 self.conflicts += 1
                 since_restart += 1
                 if len(self.trail_lim) <= len(assumptions):
