@@ -78,7 +78,8 @@ class Engine:
         self.order_bits: dict[tuple, int] = {}
         self.bool_vars: dict[str, int] = {}
         self.min_aux: dict[str, int] = {}
-        self.lowered_cluster_min = False  # set by _atom_int_eq_const
+        # set by _atom_int_eq_const, and by _lower on reuse of such a term
+        self.lowered_cluster_min = False
         self.aux: dict[tuple, int] = {}
         # term -> (literal, True if a cluster minimum lies below it)
         self.lowered: dict[tuple, tuple] = {}

@@ -597,6 +597,32 @@ def test_late_cluster_hint_is_an_error():
     assert out[1:] == ["unsat"]
 
 
+def test_definitions_lowered_before_an_instance_fails_are_kept():
+    """An instance fails on t0 = 2 after (and p q) got its literal: the
+    literal's definition must reach the solver, since later assertions reuse
+    the literal."""
+    out = run_solver(
+        """(set-option :print-success true)
+(declare-fun p () Bool)
+(declare-fun q () Bool)
+(declare-fun t0 () Int)
+(assert (and (<= 0 t0) (<= t0 2)))
+(declare-fun t1 () Int)
+(assert (and (<= 0 t1) (<= t1 2)))
+(set-info :order-cluster (t0 t1))
+(assert (forall ((u Int)) (=> (and (<= 0 u) (<= u 2)) (or (and p q) (= t0 u)))))
+(check-sat)
+(assert (not (and p q)))
+(assert p)
+(assert q)
+(check-sat)
+(exit)
+"""
+    )
+    assert out[0].startswith("(error") and "non-minimum" in out[0], out
+    assert out[1:] == ["unsat"]
+
+
 def test_mbqi_universal_over_enum():
     out = run_solver(
         """(set-option :print-success true)
