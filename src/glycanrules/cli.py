@@ -114,7 +114,6 @@ def run_synth(args) -> int:
         variants=_variants(args),
         solver=_solver_config(args),
         limits=Limits(max_iterations=args.max_iters, wall_clock_s=args.wall_clock),
-        mode=args.mode,
     )
     # validate flags before any work
     job.resolved_width()
@@ -199,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--max-iters", type=int, default=1000)
     synth.add_argument("--wall-clock", type=float, default=600.0,
                        help="overall time limit in seconds")
-    synth.add_argument("--mode", choices=["quantified", "instantiate-only"],
-                       default="quantified")
     synth.add_argument("--dot", default=None, help="directory for DOT renderings")
     synth.add_argument("--dump-smt", default=None,
                        help="directory for solver query transcripts")
@@ -241,7 +238,7 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
-    except (ParseError, ModelError, ValueError, FileNotFoundError,
+    except (ParseError, ModelError, ValueError, OSError,
             BackendError, ClosureBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -182,16 +182,6 @@ class Molecule:
         return tree_positions(self.root)
 
 
-def ancestor(m: Molecule, path: Path, d: int) -> Optional[Path]:
-    """d-th ancestor of the node at `path`, or None above the root.
-
-    ancestor(m, p, 0) is p itself.
-    """
-    if d < 0 or d > len(path):
-        return None
-    return path[: len(path) - d]
-
-
 def match_embedded(tree: TreeNode, at: Path, other: TreeNode, other_at: Path) -> bool:
     """True iff the subtree of `tree` at `at` is embedded in `other` at `other_at`.
 

@@ -50,9 +50,6 @@ SYNTHESIZED = "Synthesized"
 NO_RULES = "NoRulesInBudget"
 INCONCLUSIVE = "Inconclusive"
 
-MODE_QUANTIFIED = "quantified"
-MODE_INSTANTIATE = "instantiate-only"
-
 
 @dataclass
 class Budgets:
@@ -76,9 +73,10 @@ class SynthesisJob:
     variants: Variants = field(default_factory=Variants)
     solver: Optional[SolverConfig] = None
     limits: Limits = field(default_factory=Limits)
-    mode: str = MODE_QUANTIFIED
-    # not a field: symmetry breaking is always on; perfbench/workloads.py
-    # hashes this value into its job fingerprint
+    # not fields: every counterexample is rejected by its universal plus its
+    # derivation instance, and symmetry breaking is always on;
+    # perfbench/workloads.py hashes both values into its job fingerprint
+    mode = "quantified"
     symmetry = True
 
     def resolved_width(self) -> int:
@@ -116,7 +114,7 @@ class IterationRecord:
     rules: RuleSet
     counterexample: Optional[Molecule]
     synth_seconds: float
-    cex_seconds: float
+    oracle_seconds: float  # the oracle's counterexample search
 
 
 @dataclass
@@ -140,6 +138,8 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     k = job.budgets.compartments
     if k < 1:
         raise ValueError("need at least one compartment")
+    if n < 0:
+        raise ValueError(f"rules budget {n} is negative")
     w = job.resolved_width()
     variants = Variants(
         compartments=k,
@@ -165,6 +165,9 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     # set when the counterexample search or the oracle gate hit the closure's
     # cap, which verifying the same candidate would hit again
     closure_aborted = False
+    # (synth_s, 0.0) of a last query that answered unsat or unknown, so that
+    # `per_iteration` times every query
+    unanswered_query = []
 
     with Session(cfg) as synth:
         synth.assert_formula(tcons)
@@ -174,69 +177,48 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
             synth.declare_order_cluster([prod.tau[p] for p in prod.paths])
             synth.assert_formula(pf)
 
-        iteration = 0
-        while True:
-            iteration += 1
-            if iteration > job.limits.max_iterations:
-                outcome.status = INCONCLUSIVE
-                outcome.iterations = iteration - 1
-                outcome.warnings.append("iteration limit reached")
-                break
+        for iteration in range(1, job.limits.max_iterations + 1):
             if time.monotonic() > deadline:
-                outcome.status = INCONCLUSIVE
-                outcome.iterations = iteration - 1
                 outcome.warnings.append("wall clock limit reached")
                 break
+            outcome.iterations = iteration
 
             t0 = time.monotonic()
             label = f"query_{iteration}_synth" if cfg.dump_dir else None
             res = synth.check_sat(label)
             synth_secs = time.monotonic() - t0
-            if res == "unsat":
-                outcome.status = NO_RULES
-                outcome.iterations = iteration
-                break
-            if res == "unknown":
-                outcome.status = INCONCLUSIVE
-                outcome.warnings.append("synthesis query returned unknown")
-                outcome.iterations = iteration
+            if res != "sat":
+                unanswered_query = [(synth_secs, 0.0)]
+                if res == "unsat":
+                    outcome.status = NO_RULES
+                else:
+                    outcome.warnings.append("synthesis query returned unknown")
                 break
             model = synth.get_model(template_vars)
             rules = decode_rules(ctx, model, templates) if n > 0 else RuleSet((), k)
 
             t1 = time.monotonic()
+            found = None
             try:
                 found = first_extra(rules, data, closure_cfg)
             except ClosureBudgetExceeded as exc:
-                outcome.status = INCONCLUSIVE
-                outcome.iterations = iteration
-                outcome.trace.append(IterationRecord(
-                    iteration, rules, None, synth_secs, time.monotonic() - t1
-                ))
                 outcome.warnings.append(f"counterexample search aborted: {exc}")
                 closure_aborted = True
+            counterexample, steps = found or (None, None)
+            outcome.trace.append(IterationRecord(
+                iteration, rules, counterexample, synth_secs, time.monotonic() - t1
+            ))
+            if closure_aborted:
                 break
-            cex_secs = time.monotonic() - t1
-
             if found is None:
-                outcome.iterations = iteration
-                outcome.trace.append(
-                    IterationRecord(iteration, rules, None, synth_secs, cex_secs)
-                )
                 report = _gated_verify(job, rules, outcome)
                 outcome.verification = report
                 if report is not None and report.passed:
                     outcome.status = SYNTHESIZED
                     outcome.rules = rules
-                else:
-                    outcome.status = INCONCLUSIVE
-                    closure_aborted = report is None
+                closure_aborted = report is None
                 break
 
-            counterexample, steps = found
-            outcome.trace.append(
-                IterationRecord(iteration, rules, counterexample, synth_secs, cex_secs)
-            )
             outcome.counterexamples.append(counterexample)
             key = serialize_molecule(counterexample)
             if key in seen_counterexamples:
@@ -251,9 +233,10 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
             )
             if nc.helper is not None:
                 synth.assert_formula(nc.helper)
-            if job.mode == MODE_QUANTIFIED:
-                synth.assert_formula(nc.universal)
+            synth.assert_formula(nc.universal)
             synth.assert_formula(nc.instance)
+        else:
+            outcome.warnings.append("iteration limit reached")
 
     if outcome.status == INCONCLUSIVE and outcome.trace:
         # hand back the last candidate and how it fares, so the user can
@@ -268,8 +251,8 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                 outcome.warnings.append(f"last-candidate verification aborted: {exc}")
     outcome.timings["total_s"] = time.monotonic() - started
     outcome.timings["per_iteration"] = [
-        (r.synth_seconds, r.cex_seconds) for r in outcome.trace
-    ]
+        (r.synth_seconds, r.oracle_seconds) for r in outcome.trace
+    ] + unanswered_query
     return outcome
 
 

@@ -89,7 +89,10 @@ class Session:
         if key == ":print-success":
             self.print_success = form[2] == "true"
         elif key == ":timeout":
-            self.timeout_ms = int(form[2])
+            # the reader turns numerals into ints
+            if not isinstance(form[2], int) or form[2] < 0:
+                raise SolverError(f":timeout takes a numeral, not {form[2]}")
+            self.timeout_ms = form[2]
         # other options are accepted and ignored
 
     def _set_info(self, form):

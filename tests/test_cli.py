@@ -212,6 +212,30 @@ def test_minimize_flag_is_gone_and_usage_errors_exit_one(dataset_dir, capsys):
     assert "--rules" in capsys.readouterr().err
 
 
+def test_mode_flag_is_gone(dataset_dir, capsys):
+    code = run_cli(
+        ["synth", str(dataset_dir / "motivating.gly"), "--rules", "1",
+         "--depth", "2", "--mode", "quantified"]
+    )
+    assert code == 1
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_directory_as_data_set_exits_one(tmp_path, capsys):
+    assert run_cli(["synth", str(tmp_path), "--rules", "1", "--depth", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_negative_rules_budget_exits_one(dataset_dir, capsys):
+    code = run_cli(
+        ["synth", str(dataset_dir / "motivating.gly"), "--rules", "-1",
+         "--depth", "2"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: rules budget -1")
+
+
 def test_solver_flag_resolves_its_own_args(monkeypatch):
     def config(*extra):
         return _solver_config(build_parser().parse_args(

@@ -13,7 +13,6 @@ from glycanrules.core import (
     RuleSet,
     TreeNode,
     UnknownMonomerError,
-    ancestor,
     is_rooted_prefix,
     match_embedded,
     tree_height,
@@ -112,22 +111,6 @@ def test_rules_file_roundtrip(motivating, motivating_rules):
     text = "\n".join(serialize_rule(r) for r in motivating_rules)
     again = parse_rules(text, motivating.alphabet)
     assert again == motivating_rules
-
-
-def test_ancestor():
-    m = mol("A(C(D), D)")
-    assert ancestor(m, (), 0) == ()
-    assert ancestor(m, (), 1) is None
-    assert ancestor(m, (1, 1), 2) == ()
-    assert ancestor(m, (1, 1), 1) == (1,)
-
-
-def test_ancestor_in_middle_molecule(motivating):
-    # deepest left D sits at path (1,1,1,1); two levels up is the C branch
-    m = motivating.molecules[1]
-    assert m.node_at((1, 1, 1, 1)).label == "D"
-    assert ancestor(m, (1, 1, 1, 1), 2) == (1, 1)
-    assert m.node_at((1, 1)).label == "B"
 
 
 def test_match_embedded_reflexive(motivating):

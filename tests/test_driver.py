@@ -4,6 +4,7 @@ import random
 import pytest
 
 from glycanrules import driver, producer
+from glycanrules.backend import Session
 from glycanrules.core import Molecule, MonomerAlphabet, Rule
 from glycanrules.driver import (
     Budgets,
@@ -170,16 +171,35 @@ def test_trace_counterexamples_are_valid(motivating):
         )
 
 
-def test_instantiate_only_mode(motivating):
-    job = SynthesisJob(
-        motivating,
-        Budgets(rules=7, depth=3),
-        limits=Limits(max_iterations=200, wall_clock_s=120),
-        mode="instantiate-only",
-    )
-    out = synthesize(job)
-    assert out.status == SYNTHESIZED
-    assert out.verification.passed
+UNKNOWN = "synthesis query returned unknown"
+
+
+@pytest.mark.parametrize("budgets, limits, status, warning", [
+    # refuted by the first query
+    (Budgets(rules=2, depth=3), Limits(40, 90), NO_RULES, None),
+    # refuted after three counterexamples
+    (Budgets(rules=6, depth=2, compartments=2), Limits(40, 90), NO_RULES, None),
+    (Budgets(rules=7, depth=3), Limits(1, 90), INCONCLUSIVE, "iteration limit reached"),
+    (Budgets(rules=7, depth=3), Limits(40, 0), INCONCLUSIVE, "wall clock limit reached"),
+    (Budgets(rules=7, depth=3), Limits(40, 90), INCONCLUSIVE, UNKNOWN),
+], ids=["refuted-at-once", "refuted-later", "iteration-limit", "wall-clock", "unknown"])
+def test_per_iteration_times_every_query(motivating, monkeypatch, budgets, limits,
+                                         status, warning):
+    if warning == UNKNOWN:
+        monkeypatch.setattr(Session, "check_sat", lambda self, label=None: "unknown")
+    out = synthesize(SynthesisJob(motivating, budgets, limits=limits))
+    assert out.status == status
+    per_query = out.timings["per_iteration"]
+    assert len(per_query) == out.iterations
+    assert per_query[:len(out.trace)] == [
+        (r.synth_seconds, r.oracle_seconds) for r in out.trace
+    ]
+    # a last query that answers unsat or unknown proposes no candidate
+    no_candidate = status == NO_RULES or warning == UNKNOWN
+    assert len(out.trace) == out.iterations - no_candidate
+    if no_candidate:
+        assert per_query[-1][1] == 0.0
+    assert out.warnings == ([warning] if warning else [])
 
 
 def test_budget_validation():

@@ -224,6 +224,21 @@ def test_malformed_numeral_is_an_error_not_a_crash(token):
     assert out[1:] == ["sat", "((x 0))"]
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+def test_timeout_that_is_not_a_numeral_is_an_error(value):
+    out = run_solver(
+        f"""(set-option :print-success true)
+(set-option :timeout {value})
+(declare-fun p () Bool)
+(assert p)
+(check-sat)
+(exit)
+"""
+    )
+    assert len(out) == 2 and out[0].startswith('(error ":timeout'), out
+    assert out[1] == "sat"
+
+
 def test_let_expansion_shares_objects():
     forms = parse_all("(assert (let ((u (and a b))) (or u (not u))))")
     term = expand_lets(forms[0][1], {})
