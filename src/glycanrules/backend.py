@@ -51,7 +51,6 @@ from .formula import (
     conj,
     domain_size,
     domain_values,
-    free_vars,
     substitute,
 )
 from .minismt.sexpr import Reader, SexprError
@@ -127,15 +126,22 @@ def _sort_text(sort) -> str:
 
 
 class _Emitter:
-    """Deterministic text for one formula; reused subterms become lets."""
+    """Deterministic text for one formula; reused subterms become lets.
+
+    After `emit`, the keys of `free` are the free variables the text names,
+    in the order they first occur; variables a `forall` binds are left out.
+    """
 
     def __init__(self):
         self.let_counter = 0
+        self.free: dict[Var, None] = {}
+        self._bound: frozenset = frozenset()
 
     def emit(self, f: Formula) -> str:
         refs: dict[int, int] = {}
         inside: set[int] = set()
         self._count(f, refs, set(), False, inside)
+        self.free = {}
         names: dict[int, str] = {}
         bindings: list[tuple[str, str]] = []
         body = self._text(f, refs, names, bindings, inside)
@@ -163,20 +169,27 @@ class _Emitter:
             else:
                 self._count(f.body, refs, seen, True, inside)
 
+    def _name(self, v) -> str:
+        """The text of an operand, recording a variable no enclosing `forall`
+        binds as free.  An EnumEq right side may be a member name, an IntCmp
+        side a constant."""
+        if not isinstance(v, Var):
+            return str(v)
+        if v not in self._bound:
+            self.free[v] = None
+        return v.name
+
     def _text(self, f: Formula, refs, names, bindings, inside) -> str:
         if f is TRUE:
             return "true"
         if f is FALSE:
             return "false"
         if isinstance(f, BoolRef):
-            return f.var.name
+            return self._name(f.var)
         if isinstance(f, EnumEq):
-            rhs = f.right.name if isinstance(f.right, Var) else f.right
-            return f"(= {f.left.name} {rhs})"
+            return f"(= {self._name(f.left)} {self._name(f.right)})"
         if isinstance(f, IntCmp):
-            lhs = f.lhs.name if isinstance(f.lhs, Var) else str(f.lhs)
-            rhs = f.rhs.name if isinstance(f.rhs, Var) else str(f.rhs)
-            return f"({f.op} {lhs} {rhs})"
+            return f"({f.op} {self._name(f.lhs)} {self._name(f.rhs)})"
         key = id(f)
         if key in names:
             return names[key]
@@ -215,7 +228,10 @@ class _Emitter:
                 guard = guard_parts[0]
             else:
                 guard = "(and " + " ".join(guard_parts) + ")"
+            outer = self._bound
+            self._bound = outer | set(f.vars)
             body = self._text(f.body, refs, names, bindings, inside)
+            self._bound = outer
             text = f"(forall ({binders}) (=> {guard} {body}))"
         else:
             raise BackendError(f"cannot emit node {f!r}")
@@ -351,10 +367,6 @@ class Session:
 
     # ----- declarations -----
 
-    def _ensure_declared(self, f: Formula):
-        for var in free_vars(f):
-            self.declare_var(var)
-
     def declare_var(self, var: Var):
         if var.name in self.declared:
             return
@@ -399,11 +411,9 @@ class Session:
         f = self._maybe_expand(f)
         if f is TRUE:
             return
-        self._ensure_declared(f)
-        if f is FALSE:
-            self._send("(assert false)", expect="success")
-            return
         text = self._emitter.emit(f)
+        for var in self._emitter.free:
+            self.declare_var(var)
         self._send(f"(assert {text})", expect="success")
 
     def _maybe_expand(self, f: Formula) -> Formula:

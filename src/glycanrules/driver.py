@@ -140,6 +140,12 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
         raise ValueError("need at least one compartment")
     if n < 0:
         raise ValueError(f"rules budget {n} is negative")
+    limits = job.limits
+    if limits.max_iterations < 1:
+        raise ValueError(f"iteration limit {limits.max_iterations} is below 1")
+    # `not >` also refuses nan, which would turn the limit off
+    if not limits.wall_clock_s > 0:
+        raise ValueError(f"wall clock limit {limits.wall_clock_s} is not positive")
     w = job.resolved_width()
     variants = Variants(
         compartments=k,
@@ -148,7 +154,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
         repeat=job.variants.repeat,
     )
     started = time.monotonic()
-    deadline = started + job.limits.wall_clock_s
+    deadline = started + limits.wall_clock_s
     cfg = job.solver or default_solver_config()
     outcome = SynthesisOutcome(status=INCONCLUSIVE)
 
@@ -177,7 +183,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
             synth.declare_order_cluster([prod.tau[p] for p in prod.paths])
             synth.assert_formula(pf)
 
-        for iteration in range(1, job.limits.max_iterations + 1):
+        for iteration in range(1, limits.max_iterations + 1):
             if time.monotonic() > deadline:
                 outcome.warnings.append("wall clock limit reached")
                 break

@@ -1,12 +1,14 @@
 """Constraint construction: templates, produce-encodings, variants, decoding.
 
-Terminology used throughout: a *rule side* or *molecule side* is either a
-symbolic template (full tree of choice variables) or a concrete value wrapped
-to expose the same interface, so the same constraint builders serve the
-synthesis query (concrete molecules vs. rule templates), the concrete/concrete
-equivalence checks, and the molecule template (vs. concrete rules), which the
-synthesis loop no longer queries: its counterexamples come from
-`producer.first_extra`.
+Terminology used throughout: a *rule side* is either a symbolic template
+(full tree of choice variables) or a concrete Rule wrapped to expose the same
+interface, so the same constraint builders serve the synthesis query
+(concrete molecules vs. rule templates) and the concrete/concrete
+equivalence checks.  A *molecule side* is always concrete: the synthesis loop
+encodes the observed molecules and the counterexamples
+`producer.first_extra` returns.  The molecule template, its correctness
+conditions and its decoder are unused; they stay only while
+`perfbench/spans.py` patches their names on `driver`.
 
 Node situations inside a rule tree: `KMatchAns` on the path from the root to
 the parent of the expansion root, `KExpand` on the added part, `KMatch` for
@@ -272,7 +274,6 @@ class MoleculeTemplate:
         self._presence = {
             p: not_(enum_is(self.sugar[p], NONE_SUGAR)) for p in self.paths
         }
-        self.symbolic = True
 
     def exists(self, path: Path) -> bool:
         return len(path) <= self.height and all(1 <= s <= self.width for s in path)
@@ -280,14 +281,8 @@ class MoleculeTemplate:
     def presence(self, path: Path) -> Formula:
         return self._presence[path]
 
-    def label_op(self, path: Path):
-        return self.sugar[path]
-
     def slots(self, path: Path) -> int:
         return self.width if len(path) < self.height else 0
-
-    def positions(self) -> list[Path]:
-        return self.paths
 
 
 class ConcreteMoleculeSide:
@@ -295,13 +290,9 @@ class ConcreteMoleculeSide:
         self.ctx = ctx
         self.molecule = molecule
         self.paths = [p for p, _ in sorted(molecule.positions())]
-        self.symbolic = False
 
     def exists(self, path: Path) -> bool:
         return self.molecule.node_at(path) is not None
-
-    def presence(self, path: Path) -> Formula:
-        return TRUE if self.exists(path) else FALSE
 
     def label_op(self, path: Path):
         node = self.molecule.node_at(path)
@@ -310,12 +301,6 @@ class ConcreteMoleculeSide:
     def slots(self, path: Path) -> int:
         node = self.molecule.node_at(path)
         return len(node.children) if node is not None else 0
-
-    def positions(self) -> list[Path]:
-        return self.paths
-
-
-MoleculeSide = Union[MoleculeTemplate, ConcreteMoleculeSide]
 
 
 def _ptag(path: Path) -> str:
@@ -332,21 +317,23 @@ def _label_eq(a, b) -> Formula:
 
 
 class ProductionVars:
-    """Fresh per encode_produce call: cuts, rule choice, timestamp (and the
-    owning compartment when more than one exists) for every structural
-    position of the molecule side."""
+    """Fresh per encode_produce call: a cut, a timestamp (and the owning
+    compartment when more than one exists) for every position of the
+    molecule, and a rule choice for every position but the root, which no
+    rule adds."""
 
-    def __init__(self, ctx: EncodingContext, mol: MoleculeSide):
+    def __init__(self, ctx: EncodingContext, mol: ConcreteMoleculeSide):
         tag = f"p{ctx.prod_counter}"
         ctx.prod_counter += 1
         reg = ctx.registry
-        paths = mol.positions()
+        paths = mol.paths
         n = len(paths)
         self.paths = paths
         self.cuts = {p: reg.make(f"{tag}_cuts_{_ptag(p)}", BOOL) for p in paths}
         if ctx.rule_sort is not None:
             self.rmatch = {
-                p: reg.make(f"{tag}_rm_{_ptag(p)}", ctx.rule_sort) for p in paths
+                p: reg.make(f"{tag}_rm_{_ptag(p)}", ctx.rule_sort)
+                for p in paths if p
             }
         else:
             self.rmatch = {}
@@ -363,7 +350,7 @@ class ProductionVars:
         out = []
         for p in self.paths:
             out.append(self.cuts[p])
-            if self.rmatch:
+            if p in self.rmatch:
                 out.append(self.rmatch[p])
             out.append(self.tau[p])
             if self.comp:
@@ -377,12 +364,12 @@ class ProductionVars:
 
 
 class ProduceEncoder:
-    def __init__(self, ctx: EncodingContext, mol: MoleculeSide, rules: list,
-                 prod: ProductionVars):
+    def __init__(self, ctx: EncodingContext, mol: ConcreteMoleculeSide,
+                 rules: list):
         self.ctx = ctx
         self.mol = mol
         self.rules = rules
-        self.prod = prod
+        self.prod = ProductionVars(ctx, mol)
         self.k = ctx.variants.compartments
 
     # -- time-order side conditions --
@@ -439,8 +426,6 @@ class ProduceEncoder:
                     conj([int_eq(comp, rule.compartment_op()), later]),
                 ]
             )
-        if self.mol.symbolic:
-            return implies(self.mol.presence(path), later)
         return later
 
     # -- MatchTree --
@@ -472,13 +457,7 @@ class ProduceEncoder:
                     mpath + (j,), rule, rpath + (j,), mark, is_expand, stage_exact
                 )
             )
-        inner = conj(parts)
-        if self.mol.symbolic:
-            pres = self.mol.presence(mpath)
-            return conj(
-                [implies(pres, inner), implies(not_(pres), rule.kappa_is(rpath, K_ABSENT))]
-            )
-        return inner
+        return conj(parts)
 
     # -- MatchCut --
 
@@ -488,32 +467,28 @@ class ProduceEncoder:
             return TRUE
         cuts = bool_ref(self.prod.cuts[mpath])
         if not rule.exists(rpath):
-            inner = implies(parent_not_absent, cuts)
-        else:
-            absent = rule.kappa_is(rpath, K_ABSENT)
-            parts = [implies(parent_not_absent, iff(absent, cuts))]
-            for j in range(1, self.mol.slots(mpath) + 1):
-                parts.append(
-                    self.match_cut(mpath + (j,), rule, rpath + (j,), not_(absent))
-                )
-            inner = conj(parts)
-        if self.mol.symbolic:
-            return implies(self.mol.presence(mpath), inner)
-        return inner
+            return implies(parent_not_absent, cuts)
+        absent = rule.kappa_is(rpath, K_ABSENT)
+        parts = [implies(parent_not_absent, iff(absent, cuts))]
+        for j in range(1, self.mol.slots(mpath) + 1):
+            parts.append(
+                self.match_cut(mpath + (j,), rule, rpath + (j,), not_(absent))
+            )
+        return conj(parts)
 
     # -- EncodeP --
 
     def encode_p(self, vpath: Path, rule: RuleSide, ell: int,
-                 with_expand: bool = True, attach_override=None,
-                 stage_exact: bool = False) -> Formula:
+                 block_at=None) -> Formula:
         """Rule applied with its expansion root landing at `vpath`, the rule
-        root aligned `ell` levels up.  `with_expand=False` gives the
-        applicability-only variant used for fast/slow dominance (the expansion
-        content and cut pattern are not analyzed); `attach_override` supplies
-        an alternative timestamp for it."""
+        root aligned `ell` levels up.  Given a time `block_at`, it is the
+        applicability-only variant used for fast/slow dominance: the pattern
+        is matched, stage-exactly, against the molecule as it stood at that
+        time, and the expansion content and cut pattern are not analyzed."""
         if len(vpath) < ell:
             return FALSE
-        mark = attach_override if attach_override is not None else self.prod.tau[vpath]
+        stage_exact = block_at is not None
+        mark = self.prod.tau[vpath] if block_at is None else block_at
         parts = []
         rpos: Path = ()
         for i in range(ell, 0, -1):
@@ -535,7 +510,7 @@ class ProduceEncoder:
             if not rule.exists(rpos):
                 return FALSE
         parts.append(rule.kappa_is(rpos, K_EXPAND))
-        if with_expand:
+        if block_at is None:
             parts.append(self.match_tree(vpath, rule, rpos, mark, True))
             parts.append(self.match_cut(vpath, rule, rpos, FALSE))
             if self.ctx.variants.fast_slow:
@@ -553,19 +528,14 @@ class ProduceEncoder:
             if fast is FALSE:
                 continue
             sites = []
-            for p in self.mol.positions():
+            for p in self.mol.paths:
                 for slot in range(1, self.mol.slots(p) + 1):
                     site = p + (slot,)
                     for ell in other.ell_range():
-                        pattern = self.encode_p(
-                            site, other, ell, with_expand=False,
-                            attach_override=mark, stage_exact=True,
-                        )
+                        pattern = self.encode_p(site, other, ell, block_at=mark)
                         if pattern is FALSE:
                             continue
                         cond = [pattern, self._empty_at(site, mark, rule)]
-                        if self.mol.symbolic:
-                            cond.append(self.mol.presence(p))
                         if self.k > 1:
                             cond.append(
                                 int_eq(other.compartment_op(), rule.compartment_op())
@@ -587,63 +557,40 @@ class ProduceEncoder:
         if prod.comp:
             parts.append(int_eq(prod.comp[root], 1))
         for j in range(1, mol.slots(root) + 1):
-            child = (j,)
-            if not mol.exists(child):
-                continue
-            cut = bool_ref(prod.cuts[child])
-            if mol.symbolic:
-                parts.append(implies(mol.presence(child), cut))
-            elif mol.exists(child):
-                parts.append(cut)
+            if mol.exists((j,)):
+                parts.append(bool_ref(prod.cuts[(j,)]))
         if not self.rules:
-            # nothing can ever be added: no present child of the root
-            for j in range(1, mol.slots(root) + 1):
-                child = (j,)
-                if mol.exists(child):
-                    if mol.symbolic:
-                        parts.append(not_(mol.presence(child)))
-                    else:
-                        parts.append(FALSE)
-            return conj(parts)
+            # nothing can ever be added: only a bare seed is produced
+            return conj(parts) if len(mol.paths) == 1 else FALSE
+        positions = mol.paths[1:]  # preorder: the root comes first
         if self.ctx.variants.hard_ends or self.ctx.variants.fast_slow:
             # distinct pieces land at distinct times: the non-monotonic side
             # conditions are only exact against a strict interleaving
-            positions = [p for p in mol.positions() if p != root]
             for i, u in enumerate(positions):
                 for v in positions[i + 1 :]:
-                    guard = [bool_ref(prod.cuts[u]), bool_ref(prod.cuts[v])]
-                    if mol.symbolic:
-                        guard.extend([mol.presence(u), mol.presence(v)])
                     parts.append(
                         implies(
-                            conj(guard),
+                            conj([bool_ref(prod.cuts[u]), bool_ref(prod.cuts[v])]),
                             not_(int_eq(prod.tau[u], prod.tau[v])),
                         )
                     )
-        for vpath in mol.positions():
-            if vpath == root:
-                continue
+        for vpath in positions:
             for t_idx, rule in enumerate(self.rules):
                 body = disj(
                     [self.encode_p(vpath, rule, ell) for ell in rule.ell_range()]
                 )
                 guard = [
-                    enum_is(self.prod.rmatch[vpath], f"R{t_idx}"),
+                    enum_is(prod.rmatch[vpath], f"R{t_idx}"),
                     bool_ref(prod.cuts[vpath]),
                 ]
-                if mol.symbolic:
-                    guard.append(mol.presence(vpath))
                 parts.append(implies(conj(guard), body))
         return conj(parts)
 
 
-def encode_produce(ctx: EncodingContext, mol: MoleculeSide, rules: list,
-                   prod: Optional[ProductionVars] = None
+def encode_produce(ctx: EncodingContext, mol: ConcreteMoleculeSide, rules: list
                    ) -> tuple[Formula, ProductionVars]:
-    if prod is None:
-        prod = ProductionVars(ctx, mol)
-    encoder = ProduceEncoder(ctx, mol, rules, prod)
-    return encoder.encode(), prod
+    encoder = ProduceEncoder(ctx, mol, rules)
+    return encoder.encode(), encoder.prod
 
 
 # --------------------------------------------------------------------------
@@ -1152,10 +1099,10 @@ def derivation_binding(prod: ProductionVars, rules: RuleSet, steps: list) -> dic
     for p in prod.paths:
         binding[prod.cuts[p]] = False
         binding[prod.tau[p]] = 0
-        if prod.rmatch:
-            binding[prod.rmatch[p]] = "R0"
         if prod.comp:
             binding[prod.comp[p]] = 1
+    for var in prod.rmatch.values():
+        binding[var] = "R0"
     for i, step in enumerate(steps, 1):
         root = step.path + (step.slot,)
         binding[prod.cuts[root]] = True

@@ -261,49 +261,6 @@ def forall(vars: Iterable[Var], body: Formula) -> Formula:
 # ----- traversal helpers -----
 
 
-def free_vars(f: Formula) -> list[Var]:
-    """Free variables in deterministic first-occurrence order."""
-    out: list[Var] = []
-    _collect_free(f, frozenset(), set(), out)
-    return out
-
-
-def _collect_free(g: Formula, bound: frozenset, seen: set, out: list):
-    """Append the free variables below `g` whose ids `seen` lacks to `out`.
-
-    Module-level for the reason `_substitute` is.
-    """
-    if isinstance(g, _Const):
-        return
-    if isinstance(g, BoolRef):
-        _note_free(g.var, bound, seen, out)
-    elif isinstance(g, EnumEq):
-        _note_free(g.left, bound, seen, out)
-        _note_free(g.right, bound, seen, out)
-    elif isinstance(g, IntCmp):
-        _note_free(g.lhs, bound, seen, out)
-        _note_free(g.rhs, bound, seen, out)
-    elif isinstance(g, Not):
-        _collect_free(g.arg, bound, seen, out)
-    elif isinstance(g, (And, Or)):
-        for a in g.args:
-            _collect_free(a, bound, seen, out)
-    elif isinstance(g, (Implies, Iff)):
-        _collect_free(g.left, bound, seen, out)
-        _collect_free(g.right, bound, seen, out)
-    elif isinstance(g, Forall):
-        _collect_free(g.body, bound | set(g.vars), seen, out)
-    else:
-        raise TypeError(f"unknown formula node {g!r}")
-
-
-def _note_free(v, bound: frozenset, seen: set, out: list):
-    # an EnumEq right side may be a member name, an IntCmp side a constant
-    if isinstance(v, Var) and v not in bound and id(v) not in seen:
-        seen.add(id(v))
-        out.append(v)
-
-
 def substitute(f: Formula, binding: dict) -> Formula:
     """Replace variables by constants (bool / int / member name), folding."""
     return _substitute(f, binding, {})

@@ -2,8 +2,9 @@
 
 Supported fragment: Bool constants, bounded Int constants (a range assertion
 must follow each declaration), enumeration datatypes, the connectives
-and/or/not/=>/= , integer comparisons, and universal quantifiers over
-finite-sorted bound variables whose body is (=> <range-guard> <body>).
+and/or/not/=>/=, the integer comparisons < and <=, and universal quantifiers
+over finite-sorted bound variables whose body is (=> <range-guard> <body>).
+That is all the client's emitter writes; any other operator is an error.
 
 Ground formulas are lowered to CNF over an incremental CDCL core: enums
 one-hot, integers order-encoded, and each compound subterm a literal with a
@@ -472,18 +473,10 @@ class Engine:
             args = term[1:]
             rewritten = ("or",) + tuple(("not", a) for a in args[:-1]) + (args[-1],)
             lit = self._lower(rewritten)
-        elif head in ("<", "<=", ">", ">="):
-            a, b = term[1], term[2]
-            if head == ">":
-                a, b = b, a
-                head = "<"
-            elif head == ">=":
-                a, b = b, a
-                head = "<="
-            if head == "<":
-                lit = self._atom_int_lt(a, b)
-            else:
-                lit = neg(self._atom_int_lt(b, a))
+        elif head == "<":
+            lit = self._atom_int_lt(term[1], term[2])
+        elif head == "<=":
+            lit = neg(self._atom_int_lt(term[2], term[1]))
         elif head == "=":
             a, b = term[1], term[2]
             if self._is_int_operand(a) and self._is_int_operand(b):
@@ -517,10 +510,6 @@ class Engine:
                     self.add_clause([v, la, lb])
                     self.add_clause([v, neg(la), neg(lb)])
                     lit = v
-        elif head == "ite":
-            c, t, e = term[1], term[2], term[3]
-            rewritten = ("and", ("=>", c, t), ("=>", ("not", c), e))
-            lit = self._lower(rewritten)
         else:
             raise SolverError(f"unsupported operator {head!r}")
         return lit
@@ -598,9 +587,6 @@ class Engine:
             elif head == "=>":
                 todo.extend((a, -pol) for a in t[1:-1])
                 todo.append((t[-1], pol))
-            elif head == "ite":
-                todo.append((t[1], 0))
-                todo.extend((a, pol) for a in t[2:])
             elif head == "=":
                 a, b = t[1], t[2]
                 if self._is_int_operand(a) and self._is_int_operand(b):

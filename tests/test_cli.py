@@ -236,6 +236,22 @@ def test_negative_rules_budget_exits_one(dataset_dir, capsys):
     assert capsys.readouterr().err.startswith("error: rules budget -1")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iters", "0", "iteration limit 0"),
+    ("--max-iters", "-1", "iteration limit -1"),
+    ("--wall-clock", "0", "wall clock limit 0.0"),
+    ("--wall-clock", "-1", "wall clock limit -1.0"),
+    ("--wall-clock", "nan", "wall clock limit nan"),
+])
+def test_limit_out_of_range_exits_one(dataset_dir, capsys, flag, value, message):
+    code = run_cli(
+        ["synth", str(dataset_dir / "motivating.gly"), "--rules", "2",
+         "--depth", "3", flag, value]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_solver_flag_resolves_its_own_args(monkeypatch):
     def config(*extra):
         return _solver_config(build_parser().parse_args(

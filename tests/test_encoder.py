@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from glycanrules.backend import Session, SolverConfig
+from glycanrules.backend import Session, SolverConfig, _Emitter
 from glycanrules.core import MonomerAlphabet, Rule, RuleSet, node_at
 from glycanrules.driver import enumerate_rules, enumerate_trees
 from glycanrules.encoder import (
@@ -13,7 +14,6 @@ from glycanrules.encoder import (
     K_EXPAND,
     K_MATCH,
     K_MATCH_ANS,
-    ProductionVars,
     RuleTemplate,
     Variants,
     decode_molecule,
@@ -217,26 +217,6 @@ def test_encoder_oracle_agreement_smoke(seed):
         )
 
 
-def test_counterexample_validity(motivating, first_iteration_rules):
-    """Any model of mCons ∧ rCons decodes to an oracle-producible non-prefix."""
-    data = motivating
-    rules = first_iteration_rules
-    ctx = EncodingContext(data.alphabet, len(rules))
-    mt = make_molecule_template(ctx, 4, 2)
-    mcons = mol_template_correctness(ctx, mt, list(data.molecules))
-    sides = [ConcreteRuleSide(ctx, r) for r in rules]
-    prod = ProductionVars(ctx, mt)
-    rcons, _ = encode_produce(ctx, mt, sides, prod=prod)
-    res, model = solve(
-        [mcons, rcons], [mt.sugar[p] for p in mt.paths],
-    )
-    assert res == "sat"
-    found = decode_molecule(ctx, model, mt)
-    rs = RuleSet(tuple(rules))
-    assert found in closure(seed_molecules(data.alphabet), rs, ClosureConfig(4))
-    assert not any(is_rooted_prefix(found, m) for m in data.molecules)
-
-
 def test_negative_constraint_blocks_witnessed_rules(motivating, first_iteration_rules):
     data = motivating
     ctx = EncodingContext(data.alphabet, len(first_iteration_rules))
@@ -421,6 +401,26 @@ def test_template_rule_applicable_static():
     assert res == "sat"
     res, _ = solve([tcons, pins, template_rule_applicable(ctx, t, not_applicable)])
     assert res == "unsat"
+
+
+@pytest.mark.parametrize("variants", [
+    Variants(), Variants(compartments=2), Variants(fast_slow=True),
+    Variants(hard_ends=True),
+], ids=["plain", "k2", "fast_slow", "hard_ends"])
+def test_every_production_variable_occurs_in_its_encoding(variants):
+    """No production variable is bound in a universal that nothing reads."""
+    molecules = [
+        "A", "B", "C", "B(C)", "A(_, B)", "A(B, C)", "B(B(C))", "A(B(C), _)",
+        "A(B(C), C)", "B(A(C, C))", "B(B(B(C)))", "A(A(B, C), _)",
+    ]
+    ctx = EncodingContext(AB2, 2, variants)
+    templates = make_rule_templates(ctx, 3, 2, 2)
+    for text in molecules:
+        mol = parse_molecule(text, AB2)
+        f, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, mol), templates)
+        names = set(re.findall(r"[^\s()]+", _Emitter().emit(f)))
+        unread = [v.name for v in prod.all_vars() if v.name not in names]
+        assert not unread, (text, unread)
 
 
 def test_encode_produce_with_no_rules():

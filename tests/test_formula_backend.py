@@ -31,7 +31,6 @@ from glycanrules.formula import (
     evaluate,
     exactly_one,
     forall,
-    free_vars,
     iff,
     implies,
     int_cmp,
@@ -131,12 +130,20 @@ def test_exactly_one_semantics():
     assert exactly_one([]) is FALSE
 
 
-def test_free_vars_excludes_bound():
+def test_assert_declares_the_free_variables_it_writes(tmp_path):
     b, c, x, y = make_vars()
-    inner = conj([bool_ref(b), int_lt(x, y)])
-    f = forall((x,), implies(bool_ref(b), int_lt(x, y)))
-    names = {v.name for v in free_vars(f)}
-    assert b.name in names and y.name in names and x.name not in names
+    cfg = SolverConfig(dump_dir=str(tmp_path), expand_quantifier_threshold=0)
+    with Session(cfg) as session:
+        session.assert_formula(forall((x,), implies(bool_ref(b), int_lt(x, y))))
+        shared = not_(enum_is(c, "Red"))
+        session.assert_formula(
+            conj([disj([shared, bool_ref(b)]), implies(shared, int_lt(y, 2))])
+        )
+        assert session.check_sat() == "sat"
+        commands = list(session.commands)
+    assert "(let ((l0 (not (= " in commands[-2]
+    declared = [cmd.split()[1] for cmd in commands if cmd.startswith("(declare-fun")]
+    assert declared == [b.name, y.name, c.name]
 
 
 def solve_formulas(formulas, read_vars=(), config=None):
@@ -434,7 +441,7 @@ def test_substitute_leaves_no_reference_cycles():
     try:
         for value in range(100):
             substitute(f, {x: value % 4})
-            free_vars(forall([x], f))
+            _Emitter().emit(forall([x], f))
         assert gc.collect() == 0
     finally:
         gc.enable()
