@@ -397,14 +397,6 @@ class Session:
             f"(declare-datatypes (({sort.name} 0)) (({ctors})))", expect="success"
         )
 
-    def declare_order_cluster(self, vars: list[Var]):
-        """Hint: these Int variables only face each other in comparisons."""
-        for v in vars:
-            self.declare_var(v)
-        if len(vars) > 1:
-            names = " ".join(v.name for v in vars)
-            self._send(f"(set-info :order-cluster ({names}))", expect="success")
-
     # ----- assertions and queries -----
 
     def assert_formula(self, f: Formula):

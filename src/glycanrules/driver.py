@@ -179,8 +179,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
         synth.assert_formula(tcons)
         for mol in data.molecules:
             side = ConcreteMoleculeSide(ctx, mol)
-            pf, prod = encode_produce(ctx, side, templates)
-            synth.declare_order_cluster([prod.tau[p] for p in prod.paths])
+            pf, _ = encode_produce(ctx, side, templates)
             synth.assert_formula(pf)
 
         for iteration in range(1, limits.max_iterations + 1):

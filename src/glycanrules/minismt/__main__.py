@@ -97,8 +97,7 @@ class Session:
 
     def _set_info(self, form):
         if len(form) >= 3 and form[1] == ":order-cluster":
-            names = list(form[2])
-            self.engine.declare_cluster(names)
+            self.engine.declare_cluster(form[2])
 
     def _declare_datatypes(self, form):
         # (declare-datatypes ((Name 0)) (((c1) (c2) ...)))

@@ -18,24 +18,10 @@ instantiation.  One round lowers the instances of all the witnesses found,
 adds their clauses to the model with `Solver.add_model_clauses`, and resumes
 the search from the trail they leave standing; rounds repeat until no
 universal is violated (finite domains guarantee termination).
-
-Integer variables named in a `(set-info :order-cluster (...))` hint are
-lowered as a strict weak order via pairwise precedence Booleans instead of
-order bits; only var<var, var<=var and positive var=lo atoms may touch them,
-and the hint must come before any comparison on its members is lowered.
-Only asymmetry is asserted up front.  Transitivity and the weak-order axiom
-are added lazily: each SAT model is checked in O(n^2) per cluster against the
-ranks (a member's rank is its number of predecessors), every mismatched pair
-names one triple the model breaks, that triple's axioms are added, and the
-search resumes from the part of the model they leave standing.  Once no pair
-mismatches, the precedences are exactly "rank(x) < rank(y)", so get-value
-reports rank-realized integers consistent with every comparison, and
-universals are checked against those values.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 
 from .sat import Solver, neg
@@ -72,18 +58,11 @@ class Engine:
         self.member_sort: dict[str, str] = {}
         self.decls: dict[str, tuple] = {}
         self.int_bounds: dict[str, tuple] = {}
-        self.cluster_of: dict[str, int] = {}
-        self.clusters: list[list[str]] = []
-        self.p_vars: dict[tuple, int] = {}
         self.enum_bits: dict[tuple, int] = {}
         self.order_bits: dict[tuple, int] = {}
         self.bool_vars: dict[str, int] = {}
-        self.min_aux: dict[str, int] = {}
-        # set by _atom_int_eq_const, and by _lower on reuse of such a term
-        self.lowered_cluster_min = False
         self.aux: dict[tuple, int] = {}
-        # term -> (literal, True if a cluster minimum lies below it)
-        self.lowered: dict[tuple, tuple] = {}
+        self.lowered: dict[tuple, int] = {}  # term -> its literal
         self.universals: list[Universal] = []
         self.model_vals: list | None = None
         self.is_sub = is_sub
@@ -115,102 +94,11 @@ class Engine:
             raise SolverError(f"unsupported sort {sort!r}")
 
     def declare_cluster(self, names):
-        """Make precedence Booleans p(x,y) meaning x < y over `names`.
+        """Refuse the `:order-cluster` hint: every Int is order-encoded.
 
-        Only the asymmetry clauses, one per unordered pair, are added here;
-        `_refine_clusters` adds the transitivity and weak-order axioms of a
-        triple once a model breaks it.
+        The name stays only because `perfbench/spans.py` wraps it.
         """
-        group = list(names)
-        # an atom lowered through order bits would stay unlinked to the
-        # precedences, and `self.lowered` would keep reusing it
-        ordered = {name for name, _ in self.order_bits}
-        ordered.update(x for key in self.aux for x in key[1:])
-        seen = set()
-        for nm in group:
-            if self.decls.get(nm) != INT:
-                raise SolverError(f"cluster member {nm} is not an Int")
-            if nm in self.cluster_of or nm in seen:
-                raise SolverError(f"{nm} already in a cluster")
-            if nm not in self.int_bounds:
-                raise SolverError(f"cluster member {nm} has no range yet")
-            if nm in ordered:
-                raise SolverError(
-                    f"cluster member {nm} is already in a lowered comparison"
-                )
-            seen.add(nm)
-        lo, hi = self.int_bounds[group[0]]
-        for nm in group:
-            if self.int_bounds[nm] != (lo, hi):
-                raise SolverError("cluster members must share one range")
-        if hi - lo + 1 < len(group):
-            raise SolverError("cluster range narrower than the chain length")
-        cid = len(self.clusters)
-        for nm in group:
-            self.cluster_of[nm] = cid
-        self.clusters.append(group)
-        for x in group:
-            for y in group:
-                if x != y:
-                    self.p_vars[(x, y)] = self.sat.new_var()
-        for i, x in enumerate(group):
-            for y in group[i + 1:]:
-                # asymmetry: ¬p(x,y) ∨ ¬p(y,x)
-                self.sat.add_clause(
-                    [neg(2 * self.p_vars[(x, y)]), neg(2 * self.p_vars[(y, x)])]
-                )
-
-    def _refine_clusters(self, snapshot) -> bool:
-        """Add the order axioms of every triple the model breaks.
-
-        The model is a strict weak order exactly when p(x,y) holds iff
-        rank(x) < rank(y), rank being the number of predecessors.  A pair
-        with p(x,y) but rank(x) >= rank(y) has some z before x and not before
-        y (transitivity broken); an incomparable pair with rank(x) < rank(y)
-        has some z before y and not before x (negative transitivity broken).
-        Returns True if clauses were added; the search must then resume.
-        """
-        pv = self.p_vars
-        triples = set()
-        for cid, group in enumerate(self.clusters):
-            n = len(group)
-            pred = []  # bitmask over group indices of each member's predecessors
-            for y in group:
-                mask = 0
-                for i, z in enumerate(group):
-                    if z != y and snapshot[2 * pv[(z, y)]] == 1:
-                        mask |= 1 << i
-                pred.append(mask)
-            rank = [m.bit_count() for m in pred]
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    before = bool(pred[j] >> i & 1)
-                    if before == (rank[i] < rank[j]):
-                        continue
-                    if before:
-                        extra = pred[i] & ~pred[j]
-                    elif pred[i] >> j & 1:
-                        continue  # the reversed pair is mismatched as well
-                    else:
-                        extra = pred[j] & ~pred[i]
-                    k = (extra & -extra).bit_length() - 1
-                    triples.add((cid, *sorted((i, j, k))))
-        if not triples:
-            return False
-        clauses = []
-        # sorted, so the clause order does not depend on the hash seed
-        for cid, *idx in sorted(triples):
-            group = self.clusters[cid]
-            for x, y, z in itertools.permutations([group[i] for i in idx]):
-                pxy, pyz, pxz = 2 * pv[(x, y)], 2 * pv[(y, z)], 2 * pv[(x, z)]
-                # transitivity: p(x,y) ∧ p(y,z) → p(x,z)
-                clauses.append([neg(pxy), neg(pyz), pxz])
-                # weak order: p(x,z) → p(x,y) ∨ p(y,z)
-                clauses.append([neg(pxz), pxy, pyz])
-        self.sat.add_model_clauses(clauses)
-        return True
+        raise SolverError("order clusters are not supported")
 
     # ------------- variable encodings -------------
 
@@ -289,14 +177,6 @@ class Engine:
             self._require_bounds(a)
         if isinstance(b, str):
             self._require_bounds(b)
-        ca = self.cluster_of.get(a) if isinstance(a, str) else None
-        cb = self.cluster_of.get(b) if isinstance(b, str) else None
-        if ca is not None or cb is not None:
-            if ca != cb:
-                raise SolverError(
-                    f"comparison {a} < {b} mixes cluster and non-cluster ints"
-                )
-            return 2 * self.p_vars[(a, b)]
         if isinstance(a, int):
             # a < b  <=>  not (b <= a)
             return neg(self._order_bit(b, a))
@@ -326,25 +206,6 @@ class Engine:
         lo, hi = self.int_bounds[name]
         if c < lo or c > hi:
             return neg(self.sat.true_lit)
-        if name in self.cluster_of:
-            if c != lo:
-                raise SolverError(
-                    f"cluster integer {name} compared to non-minimum {c}"
-                )
-            self.lowered_cluster_min = True
-            lit = self.min_aux.get(name)
-            if lit is not None:
-                return lit
-            v = self.sat.new_var()
-            lit = 2 * v
-            self.min_aux[name] = lit
-            others = [x for x in self.clusters[self.cluster_of[name]] if x != name]
-            long_cl = [lit]
-            for z in others:
-                self.add_clause([neg(lit), neg(2 * self.p_vars[(z, name)])])
-                long_cl.append(2 * self.p_vars[(z, name)])
-            self.add_clause(long_cl)
-            return lit
         hi_side = self._order_bit(name, c)
         lo_side = neg(self._order_bit(name, c - 1))
         if hi_side == self.sat.true_lit:
@@ -409,7 +270,7 @@ class Engine:
         definitions, so the literal is usable in any polarity).
 
         Lowered once per distinct term: `self.lowered` maps each term
-        structure to its literal, and whether a cluster minimum lies below.
+        structure to its literal.
         """
         if isinstance(term, str):
             if term == "true":
@@ -422,16 +283,10 @@ class Engine:
             raise SolverError(f"unknown boolean symbol {term!r}")
         if not isinstance(term, tuple):
             raise SolverError(f"unexpected term {term!r}")
-        hit = self.lowered.get(term)
-        if hit is None:
-            outer = self.lowered_cluster_min
-            self.lowered_cluster_min = False
-            lit = self._define(term)
-            hit = self.lowered[term] = (lit, self.lowered_cluster_min)
-            self.lowered_cluster_min = outer
-        if hit[1]:
-            self.lowered_cluster_min = True
-        return hit[0]
+        lit = self.lowered.get(term)
+        if lit is None:
+            lit = self.lowered[term] = self._define(term)
+        return lit
 
     def _define(self, term) -> int:
         """Literal of the compound `term`, after adding its definition."""
@@ -555,50 +410,7 @@ class Engine:
             for sub in term[1:]:
                 self.assert_term(sub)
             return
-        self.sat.add_clause([self._lower_root(term)])
-
-    def _lower_root(self, term) -> int:
-        """Literal of an asserted term, whose cluster minima must be positive."""
-        self.lowered_cluster_min = False
-        lit = self._lower(term)
-        if self.lowered_cluster_min:
-            self._check_cluster_min_polarity(term)
-        return lit
-
-    def _check_cluster_min_polarity(self, term):
-        """Reject a cluster-minimum atom anywhere but in positive polarity.
-
-        `(= t lo)` on a cluster member is lowered as "t has no predecessor",
-        which matches t = lo only where the atom is asserted true: negated it
-        would say "t has a predecessor", which is stronger than t != lo.
-        """
-        seen = set()
-        todo = [(term, 1)]  # polarity: 1 positive, -1 negative, 0 both
-        while todo:
-            t, pol = todo.pop()
-            if not isinstance(t, tuple) or (id(t), pol) in seen:
-                continue
-            seen.add((id(t), pol))
-            head = t[0]
-            if head == "not":
-                todo.append((t[1], -pol))
-            elif head in ("and", "or"):
-                todo.extend((a, pol) for a in t[1:])
-            elif head == "=>":
-                todo.extend((a, -pol) for a in t[1:-1])
-                todo.append((t[-1], pol))
-            elif head == "=":
-                a, b = t[1], t[2]
-                if self._is_int_operand(a) and self._is_int_operand(b):
-                    name, c = (b, a) if isinstance(a, int) else (a, b)
-                    if (pol != 1 and name in self.cluster_of
-                            and c == self.int_bounds[name][0]):
-                        raise SolverError(
-                            f"cluster integer {name} = {c} occurs negated; "
-                            "an order-cluster minimum may only be asserted"
-                        )
-                elif not (self._is_enum_operand(a) and self._is_enum_operand(b)):
-                    todo.extend(((a, 0), (b, 0)))
+        self.sat.add_clause([self._lower(term)])
 
     def _assert_forall(self, term):
         if self.is_sub:
@@ -669,10 +481,11 @@ class Engine:
             # clauses go to this model from here on, and the search resumes
             resume = True
             snapshot = list(self.sat.litval)
-            if self._refine_clusters(snapshot):
-                continue
             found = []
             for uni in self.universals:
+                # a sub-solve without conflicts never tests the deadline
+                if deadline is not None and time.monotonic() >= deadline:
+                    return "unknown"
                 wit = self._find_violation(uni, snapshot, deadline)
                 if wit == "unknown":
                     return "unknown"
@@ -698,7 +511,7 @@ class Engine:
         self.add_clause = clauses.append
         try:
             for uni, wit in found:
-                clauses.append([self._lower_root(substitute(uni.body, wit))])
+                clauses.append([self._lower(substitute(uni.body, wit))])
         except SolverError:
             # `self.lowered` keeps the literals defined so far; their
             # definitions, and the instances, which the universals imply,
@@ -782,8 +595,6 @@ class Engine:
         if d == INT:
             self._require_bounds(name)
             lo, hi = self.int_bounds[name]
-            if name in self.cluster_of:
-                return self._cluster_value(snapshot, name)
             for k in range(lo, hi):
                 bit = self.order_bits.get((name, k))
                 if bit is None:
@@ -797,18 +608,6 @@ class Engine:
             if bit is not None and snapshot[2 * bit] == 1:
                 return m
         return self.enums[sort][0]
-
-    def _cluster_value(self, snapshot, name) -> int:
-        group = self.clusters[self.cluster_of[name]]
-        lo, _ = self.int_bounds[name]
-        count = 0
-        for z in group:
-            if z == name:
-                continue
-            pv = self.p_vars[(z, name)]
-            if snapshot[2 * pv] == 1:
-                count += 1
-        return lo + count
 
     def statistics(self) -> list:
         """(keyword, count) pairs for `(get-info :all-statistics)`.

@@ -5,10 +5,10 @@ Literals are ints: variable v (0-based) gives 2*v for the positive literal and
 backtracks to decision level 0, which drops any model on the trail; the engine
 uses it for assertions.  `add_model_clauses` adds a batch to the model `solve`
 just found and keeps the part of its trail the batch allows, for
-`solve(resume=True)` to search on from; the engine uses it for lazily added
-order axioms and for each MBQI round's instances.  A one-literal clause added
-that way above level 0 is asserted at the current level and again after every
-backjump below it, until the search is back at level 0.  `solve` accepts
+`solve(resume=True)` to search on from; the engine uses it for each MBQI
+round's instances.  A one-literal clause added that way above level 0 is
+asserted at the current level and again after every backjump below it, until
+the search is back at level 0.  `solve` accepts
 assumption literals that are decided first; only the engine's violation
 sub-solvers use them, to fix a universal's free variables to the candidate
 model's values, and the main solver is called without any.  All heuristics

@@ -153,11 +153,8 @@ def test_criterion_3_encoder_oracle_equivalence():
                 )
                 sides = [ConcreteRuleSide(ctx, r) for r in rules]
                 for mol in positives + negatives:
-                    f, prod = encode_produce(
+                    f, _ = encode_produce(
                         ctx, ConcreteMoleculeSide(ctx, mol), sides
-                    )
-                    session.declare_order_cluster(
-                        [prod.tau[p] for p in prod.paths]
                     )
                     if mol in reach:
                         session.assert_formula(f)

@@ -5,7 +5,7 @@ import pytest
 
 from glycanrules import driver, producer
 from glycanrules.backend import Session
-from glycanrules.core import Molecule, MonomerAlphabet, Rule
+from glycanrules.core import Molecule, MonomerAlphabet, Rule, RuleSet
 from glycanrules.driver import (
     Budgets,
     BudgetTooLarge,
@@ -21,7 +21,9 @@ from glycanrules.driver import (
     synthesize,
 )
 from glycanrules.encoder import Variants
-from glycanrules.grammar import parse_dataset, serialize_molecule, serialize_rule
+from glycanrules.grammar import (
+    parse_dataset, parse_rules, serialize_molecule, serialize_rule,
+)
 from glycanrules.producer import (
     ClosureConfig,
     closure,
@@ -253,8 +255,11 @@ def test_closure_at_its_cap_runs_once(monkeypatch):
 
 
 def test_candidate_the_oracle_gate_rejects_is_verified_once(monkeypatch):
-    # with no counterexample search, the first candidate reaches the gate
-    # although it produces more than the observed molecules
+    # every candidate is `over`, which also produces A(A(A)); with no
+    # counterexample search, it reaches the gate
+    data = dataset("sugar A 1; sugar B 0; mol A(A(B))")
+    over = RuleSet(tuple(parse_rules("A(*A(A)); A(*A(B))", data.alphabet)))
+    monkeypatch.setattr(driver, "decode_rules", lambda *args: over)
     monkeypatch.setattr(driver, "first_extra", lambda *args: None)
     verify = driver.verify
     calls = []
@@ -264,9 +269,8 @@ def test_candidate_the_oracle_gate_rejects_is_verified_once(monkeypatch):
         return verify(*args)
 
     monkeypatch.setattr(driver, "verify", counting)
-    data = dataset("sugar A 1; sugar B 0; mol A(A(B))")
     out = synthesize(SynthesisJob(data, Budgets(rules=2, depth=2)))
-    assert out.status == INCONCLUSIVE and out.last_candidate is not None
+    assert out.status == INCONCLUSIVE and out.last_candidate == over
     assert len(calls) == 1
     assert out.verification is not None and not out.verification.passed
     assert any(w.startswith("encoder accepted") for w in out.warnings), out.warnings

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from glycanrules.minismt.engine import Engine, substitute
+from glycanrules.minismt import engine as engine_module
+from glycanrules.minismt.engine import Engine, SolverError, Universal, substitute
 from glycanrules.minismt import sexpr
 from glycanrules.minismt.sexpr import CLOSE, OPEN, Reader, SexprError, parse_all
 from glycanrules.minismt.__main__ import expand_lets, serve
@@ -478,10 +479,11 @@ def test_a_term_asserted_again_adds_no_variables_or_clauses():
 
 @pytest.mark.parametrize("trial", range(37))
 def test_cluster_lowering_agrees_with_order_encoding(trial):
-    """The precedence lowering and plain order encoding must agree."""
+    """Ints compared only with each other, as a molecule's timestamps are,
+    lower through order bits to models that satisfy every comparison; with
+    at most 4 Ints the verdict matches enumeration."""
     rng = random.Random(2000 + trial)
-    # trials 25 and up use clusters of 5-8 members, long enough for the
-    # lazily added transitivity axioms to matter
+    # trials 25 and up use 5-8 Ints and more comparisons than Ints
     large = trial >= 25
     n = rng.randint(5, 8) if large else rng.randint(2, 4)
     names = [f"t{i}" for i in range(n)]
@@ -499,159 +501,59 @@ def test_cluster_lowering_agrees_with_order_encoding(trial):
         atoms.append(lit)
     if rng.random() < 0.5:
         atoms.append(f"(= {rng.choice(names)} 0)")
-    body = "\n".join(f"(assert {a})" for a in atoms)
-    hint = f"(set-info :order-cluster ({' '.join(names)}))"
-    head = "(set-option :print-success true)\n"
-    tail = "\n(check-sat)\n(exit)\n"
-    with_cluster = run_solver(head + "\n".join(decls) + "\n" + hint + "\n" + body + tail)
-    without = run_solver(head + "\n".join(decls) + "\n" + body + tail)
-    assert with_cluster[0] == without[0], (atoms, with_cluster, without)
-    if with_cluster[0] == "sat":
-        # the realized values must satisfy the formula
-        script = (head + "\n".join(decls) + "\n" + hint + "\n" + body
-                  + "\n(check-sat)\n(get-value (" + " ".join(names) + "))\n(exit)\n")
-        out = run_solver(script)
+    terms = [parse_all(a)[0] for a in atoms]
+    out = run_solver(
+        "(set-option :print-success true)\n" + "\n".join(decls) + "\n"
+        + "\n".join(f"(assert {a})" for a in atoms)
+        + "\n(check-sat)\n(get-value (" + " ".join(names) + "))\n(exit)\n"
+    )
+    assert out[0] in ("sat", "unsat"), (atoms, out)
+    if out[0] == "sat":
         vals = {p[0]: p[1] for p in parse_all(out[1])[0]}
-        terms = [parse_all(f"(assert {a})")[0][1] for a in atoms]
-        env = dict(vals)
-        for t in terms:
-            assert eval_sexpr(t, env), (atoms, vals)
+        assert all(0 <= vals[nm] <= n for nm in names), (atoms, vals)
+        assert all(eval_sexpr(t, vals) for t in terms), (atoms, vals)
+    if n <= 4:
+        truth = any(
+            all(eval_sexpr(t, dict(zip(names, values))) for t in terms)
+            for values in itertools.product(range(n + 1), repeat=n)
+        )
+        assert out[0] == ("sat" if truth else "unsat"), (atoms, out)
 
 
-def test_cluster_model_is_repaired_away_from_cycles():
-    decls = "".join(
-        f"(declare-fun {v} () Int)\n(assert (and (<= 0 {v}) (<= {v} 2)))\n"
-        for v in "abc"
-    )
-    head = (
-        "(set-option :print-success true)\n" + decls
-        + "(set-info :order-cluster (a b c))\n"
-    )
-    cycle = run_solver(
-        head + """(assert (< a b))
-(assert (< b c))
-(assert (< c a))
-(check-sat)
-(exit)
-"""
-    )
-    assert cycle == ["unsat"]
-    chain = run_solver(
-        head + """(assert (< a b))
-(assert (< b c))
-(check-sat)
-(get-value (a b c))
-(assert (not (< a c)))
-(check-sat)
-(exit)
-"""
-    )
-    assert chain == ["sat", "((a 0) (b 1) (c 2))", "unsat"]
-
-
-def cluster_script(body: str, hint: bool) -> str:
-    decls = "".join(
-        f"(declare-fun t{i} () Int)\n(assert (and (<= 0 t{i}) (<= t{i} 4)))\n"
-        for i in range(4)
-    )
-    return (
-        "(set-option :print-success true)\n" + decls
-        + ("(set-info :order-cluster (t0 t1 t2 t3))\n" if hint else "")
-        + body + "\n(check-sat)\n(exit)\n"
-    )
-
-
-def test_negated_cluster_minimum_is_an_error():
-    # "t0 has a predecessor" is stronger than t0 != 0: with the hint this
-    # script used to answer unsat, while t0..t3 = 4 satisfies it
-    body = """(assert (= t1 t3))
-(assert (<= t2 t3))
-(assert (<= t0 t1))
-(assert (not (= t0 0)))
-(assert (=> (and (<= t2 t0) (<= t0 t1)) (<= t0 t2)))"""
-    with_hint = run_solver(cluster_script(body, hint=True))
-    assert with_hint[0].startswith("(error") and "t0 = 0" in with_hint[0]
-    assert with_hint[-1] == "sat"
-    assert run_solver(cluster_script(body, hint=False)) == ["sat"]
-
-
-@pytest.mark.parametrize("term", [
-    "(not (= t0 0))",
-    "(=> (= t0 0) (< t1 t2))",
-    "(or (< t1 t2) (not (and (= t0 0) (< t2 t3))))",
-    "(= (= t0 0) (< t1 t2))",
-    "(and (= t0 0) (not (= t0 0)))",
-])
-def test_cluster_minimum_outside_positive_polarity_is_rejected(term):
-    out = run_solver(cluster_script(f"(assert {term})", hint=True))
-    assert out[0].startswith("(error"), out
-
-
-@pytest.mark.parametrize("term", [
-    "(= t0 0)",
-    "(and (= t0 0) (< t0 t1))",
-    "(or (= t0 0) (= t1 0))",
-    "(=> (< t1 t2) (= t0 0))",
-    "(not (not (= t0 0)))",
-])
-def test_cluster_minimum_in_positive_polarity_is_allowed(term):
-    assert run_solver(cluster_script(f"(assert {term})", hint=True)) == ["sat"]
-
-
-def test_cluster_minimum_negated_through_a_lowered_subterm_is_an_error():
-    """The second assertion finds (or (= t0 0) ...) lowered already, and its
-    polarity check must still see the negated cluster minimum below it."""
-    body = """(assert (or (= t0 0) (< t1 t2)))
-(assert (not (or (= t0 0) (< t1 t2))))"""
-    out = run_solver(cluster_script(body, hint=True))
-    assert out[0].startswith("(error") and "t0 = 0" in out[0], out
-    assert out[1:] == ["sat"]
-
-
-def test_late_cluster_hint_is_an_error():
-    """(< t0 1) is lowered through order bits before the hint, which could
-    never link them to the precedences: the hint must be refused, not give a
-    model with t0 = 1."""
+def test_order_cluster_hint_is_an_error():
+    """The hint is refused, and the session goes on with plain Ints."""
     decls = "".join(
         f"(declare-fun {v} () Int)\n(assert (and (<= 0 {v}) (<= {v} 2)))\n"
         for v in ("t0", "t1")
     )
     out = run_solver(
-        "(set-option :print-success true)\n" + decls + """(assert (< t0 1))
-(set-info :order-cluster (t0 t1))
+        "(set-option :print-success true)\n" + decls + """(set-info :order-cluster (t0 t1))
 (assert (< t1 t0))
 (check-sat)
+(get-value (t0 t1))
 (exit)
 """
     )
-    assert out[0].startswith("(error") and "t0" in out[0], out
-    assert out[1:] == ["unsat"]
+    assert out[0].startswith("(error") and "not supported" in out[0], out
+    assert out[1] == "sat"
+    vals = dict(parse_all(out[2])[0])
+    assert vals["t1"] < vals["t0"], out
 
 
 def test_definitions_lowered_before_an_instance_fails_are_kept():
-    """An instance fails on t0 = 2 after (and p q) got its literal: the
-    literal's definition must reach the solver, since later assertions reuse
-    the literal."""
-    out = run_solver(
-        """(set-option :print-success true)
-(declare-fun p () Bool)
-(declare-fun q () Bool)
-(declare-fun t0 () Int)
-(assert (and (<= 0 t0) (<= t0 2)))
-(declare-fun t1 () Int)
-(assert (and (<= 0 t1) (<= t1 2)))
-(set-info :order-cluster (t0 t1))
-(assert (forall ((u Int)) (=> (and (<= 0 u) (<= u 2)) (or (and p q) (= t0 u)))))
-(check-sat)
-(assert (not (and p q)))
-(assert p)
-(assert q)
-(check-sat)
-(exit)
-"""
-    )
-    assert out[0].startswith("(error") and "non-minimum" in out[0], out
-    assert out[1:] == ["unsat"]
+    """An instance fails on an unknown symbol after (and p q) got its
+    literal: the literal's definition must reach the solver, since later
+    assertions reuse the literal."""
+    engine = Engine()
+    for name in ("p", "q"):
+        engine.declare_fun(name, "Bool")
+    uni = Universal([("u", ("Bool",), None)], "true", parse_all("(or (and p q) u)")[0])
+    with pytest.raises(SolverError, match="unknown boolean symbol 'r'"):
+        engine._lower_instances([(uni, {"u": "r"})])
+    assert engine.add_clause == engine.sat.add_clause
+    for term in ("(not (and p q))", "p", "q"):
+        engine.assert_term(parse_all(term)[0])
+    assert engine.check_sat() == "unsat"
 
 
 def test_mbqi_universal_over_enum():
@@ -714,6 +616,31 @@ def test_passed_deadline_answers_unknown_before_an_mbqi_round():
     assert engine.check_sat() == "unsat"
 
 
+def test_passed_deadline_answers_unknown_before_a_violation_solve(monkeypatch):
+    """The deadline passes during the main solve; the violation sub-solve,
+    which would find no conflict and so never test it, must not run."""
+    engine = Engine()
+    engine.declare_fun("p", "Bool")
+    engine.declare_fun("x", "Int")
+    engine.assert_term(parse_all("(and (<= 0 x) (<= x 3))")[0])
+    engine.assert_term("p")
+    engine.assert_term(parse_all(
+        "(forall ((u Int)) (=> (and (<= 0 u) (<= u 3)) (or p (= u x))))")[0])
+    clock = [0.0]
+    monkeypatch.setattr(engine_module.time, "monotonic", lambda: clock[0])
+    solve = engine.sat.solve
+
+    def solve_past_the_deadline(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        clock[0] = 10.0
+        return result
+
+    engine.sat.solve = solve_past_the_deadline
+    assert engine.check_sat(timeout_ms=1000) == "unknown"
+    assert engine.violation_solves == 0
+    assert engine.check_sat() == "sat"
+
+
 def test_substitute_leaves_no_reference_cycles():
     term = ("and", ("=", "x", "y"), ("or", ("not", "b"), ("<=", "x", 3)))
     assert substitute(term, {"x": 2, "b": "true"}) == (
@@ -760,9 +687,9 @@ def test_all_statistics_repeat_on_a_replayed_transcript(dataset_dir, tmp_path):
     # The exact search.  A change that leaves every decision as it is keeps
     # these counts; one that means to change the search updates them.
     assert counts == {
-        ":decisions": 85, ":conflicts": 15, ":undone": 1944, ":restarts": 0,
-        ":learned": 5, ":clauses": 2674, ":vars": 1000, ":solves": 6,
-        ":resumed-solves": 4, ":mbqi-rounds": 2, ":instances": 2,
+        ":decisions": 94, ":conflicts": 15, ":undone": 1972, ":restarts": 0,
+        ":learned": 5, ":clauses": 2715, ":vars": 1015, ":solves": 4,
+        ":resumed-solves": 2, ":mbqi-rounds": 2, ":instances": 2,
         ":violation-solves": 3,
     }
 

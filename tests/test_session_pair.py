@@ -102,7 +102,7 @@ def test_second_session_does_not_compile_the_solver(monkeypatch):
     assert compiled == [f"glycanrules.minismt.{m}" for m in backend.SOLVER_MODULES]
 
 
-def test_synthesize_launches_one_solver(monkeypatch):
+def test_synthesize_launches_one_solver(monkeypatch, dataset_dir):
     launched = []
     launch = backend._launch
 
@@ -112,8 +112,8 @@ def test_synthesize_launches_one_solver(monkeypatch):
 
     monkeypatch.setattr(backend, "_launch", counting)
     # takes a counterexample before it succeeds
-    data = parse_dataset("sugar A 1; sugar B 0; mol A(A(B))")
-    out = synthesize(SynthesisJob(data, Budgets(rules=2, depth=2)))
+    data = parse_dataset((dataset_dir / "compartments_pair.gly").read_text())
+    out = synthesize(SynthesisJob(data, Budgets(3, 2, compartments=2)))
     assert out.status == SYNTHESIZED and out.counterexamples
     assert len(launched) == 1 and launched[0].returncode == 0
 
