@@ -177,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--height", type=int, default=None,
-                       help="molecule search height (default: tallest observation)")
+                       help="closure bound: the height up to which the oracle "
+                            "grows producible molecules (default: tallest "
+                            "observation)")
         p.add_argument("--compartments", type=int, default=1)
         p.add_argument("--fast-slow", action="store_true")
         p.add_argument("--repeats", nargs=2, type=int, metavar=("D0", "R0"),

@@ -270,9 +270,6 @@ class Rule:
             return SITUATION_EXPAND
         return SITUATION_MATCH
 
-    def positions(self) -> Iterator[tuple[Path, TreeNode]]:
-        return tree_positions(self.root)
-
 
 @dataclass(frozen=True)
 class RuleSet:

@@ -6,9 +6,7 @@ interface, so the same constraint builders serve the synthesis query
 (concrete molecules vs. rule templates) and the concrete/concrete
 equivalence checks.  A *molecule side* is always concrete: the synthesis loop
 encodes the observed molecules and the counterexamples
-`producer.first_extra` returns.  The molecule template, its correctness
-conditions and its decoder are unused; they stay only while
-`perfbench/spans.py` patches their names on `driver`.
+`producer.first_extra` returns.
 
 Node situations inside a rule tree: `KMatchAns` on the path from the root to
 the parent of the expansion root, `KExpand` on the added part, `KMatch` for
@@ -28,7 +26,6 @@ from .core import (
     Rule,
     RuleSet,
     TreeNode,
-    index_paths,
     node_at,
     tree_positions,
 )
@@ -262,29 +259,6 @@ RuleSide = Union[RuleTemplate, ConcreteRuleSide]
 # --------------------------------------------------------------------------
 
 
-class MoleculeTemplate:
-    def __init__(self, ctx: EncodingContext, height: int, width: int):
-        self.height = height
-        self.width = width
-        self.paths = full_tree_paths(height, width)
-        reg = ctx.registry
-        self.sugar = {
-            p: reg.make(f"m_nu_{_ptag(p)}", ctx.sugar_sort) for p in self.paths
-        }
-        self._presence = {
-            p: not_(enum_is(self.sugar[p], NONE_SUGAR)) for p in self.paths
-        }
-
-    def exists(self, path: Path) -> bool:
-        return len(path) <= self.height and all(1 <= s <= self.width for s in path)
-
-    def presence(self, path: Path) -> Formula:
-        return self._presence[path]
-
-    def slots(self, path: Path) -> int:
-        return self.width if len(path) < self.height else 0
-
-
 class ConcreteMoleculeSide:
     def __init__(self, ctx: EncodingContext, molecule: Molecule):
         self.ctx = ctx
@@ -305,10 +279,6 @@ class ConcreteMoleculeSide:
 
 def _ptag(path: Path) -> str:
     return "r" if not path else "".join(str(s) for s in path)
-
-
-def _label_eq(a, b) -> Formula:
-    return enum_is(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +412,7 @@ class ProduceEncoder:
             tcons = self._before(mpath, mark, rule, stage_exact)
         core = implies(
             not_(rule.kappa_is(rpath, K_ABSENT)),
-            conj([tcons, _label_eq(rule.label_op(rpath), self.mol.label_op(mpath))]),
+            conj([tcons, enum_is(rule.label_op(rpath), self.mol.label_op(mpath))]),
         )
         parts = [core]
         hard = rule.hard_end_f(rpath)
@@ -494,7 +464,7 @@ class ProduceEncoder:
         for i in range(ell, 0, -1):
             apath = vpath[: len(vpath) - i]
             parts.append(rule.kappa_is(rpos, K_MATCH_ANS))
-            parts.append(_label_eq(rule.label_op(rpos), self.mol.label_op(apath)))
+            parts.append(enum_is(rule.label_op(rpos), self.mol.label_op(apath)))
             parts.append(self._before(apath, mark, rule, stage_exact))
             next_slot = vpath[len(vpath) - i]
             slots = max(self.mol.slots(apath), rule.child_slots(rpos))
@@ -605,11 +575,6 @@ def make_rule_templates(ctx: EncodingContext, depth: int, width: int, count: int
     return [RuleTemplate(ctx, i, depth, width) for i in range(count)]
 
 
-def make_molecule_template(ctx: EncodingContext, height: int, width: int
-                           ) -> MoleculeTemplate:
-    return MoleculeTemplate(ctx, height, width)
-
-
 def rule_template_correctness(ctx: EncodingContext, templates: list[RuleTemplate]
                               ) -> Formula:
     alphabet = ctx.alphabet
@@ -684,155 +649,6 @@ def rule_template_correctness(ctx: EncodingContext, templates: list[RuleTemplate
     return conj(parts)
 
 
-def _neq(ctx: EncodingContext, mt: MoleculeTemplate, path: Path,
-         node: Optional[TreeNode]) -> Formula:
-    """The template differs from the observed subtree: a co-present label
-    mismatch, or a template node where the molecule has none."""
-    if not mt.exists(path):
-        return FALSE  # template cannot reach deeper than its height
-    nu = mt.sugar[path]
-    if node is None:
-        return not_(enum_is(nu, NONE_SUGAR))
-    mismatch = conj(
-        [
-            not_(enum_is(nu, NONE_SUGAR)),
-            not_(enum_is(nu, ctx.sugar_member(node.label))),
-        ]
-    )
-    branches = [mismatch]
-    for i in range(1, mt.slots(path) + 1):
-        child = node.child(i) if i <= len(node.children) else None
-        branches.append(_neq(ctx, mt, path + (i,), child))
-    return disj(branches)
-
-
-def mol_template_correctness(ctx: EncodingContext, mt: MoleculeTemplate,
-                             observed: list[Molecule]) -> Formula:
-    parts = []
-    for p in mt.paths:
-        if len(p) < mt.height:
-            for i in range(1, mt.width + 1):
-                # 1. present children force present parents
-                parts.append(
-                    implies(mt.presence(p + (i,)), mt.presence(p))
-                )
-            for m in ctx.alphabet:
-                # 2. slots beyond the arity stay empty
-                for i in range(m.arity + 1, mt.width + 1):
-                    parts.append(
-                        implies(
-                            enum_is(mt.sugar[p], ctx.sugar_member(m.name)),
-                            enum_is(mt.sugar[p + (i,)], NONE_SUGAR),
-                        )
-                    )
-    # the counterexample is a real produced molecule, not a bare seed
-    parts.append(mt.presence(()))
-    parts.append(
-        disj(
-            [
-                mt.presence((i,))
-                for i in range(1, mt.width + 1)
-                if mt.exists((i,))
-            ]
-        )
-    )
-    # 3. it differs from every observed molecule (prefixes do not count)
-    for m in observed:
-        parts.append(_neq(ctx, mt, (), m.root))
-    if ctx.variants.repeat is not None:
-        parts.append(repeat_rejection(ctx, mt, observed))
-    return conj(parts)
-
-
-# --------------------------------------------------------------------------
-# repeats variant
-# --------------------------------------------------------------------------
-
-
-def _exact_template_vs_tree(ctx, mt, tpath: Path,
-                            node: Optional[TreeNode]) -> list[Formula]:
-    """Template subtree at `tpath` equals the concrete subtree `node`."""
-    parts = []
-    if not mt.exists(tpath):
-        return [FALSE] if node is not None else []
-    if node is None:
-        parts.append(enum_is(mt.sugar[tpath], NONE_SUGAR))
-        # all deeper template positions are absent via parent-presence
-        return parts
-    parts.append(enum_is(mt.sugar[tpath], ctx.sugar_member(node.label)))
-    for i in range(1, max(mt.slots(tpath), len(node.children)) + 1):
-        child = node.child(i)
-        parts.extend(_exact_template_vs_tree(ctx, mt, tpath + (i,), child))
-    return parts
-
-
-def _exact_template_pair(ctx, mt, a: Path, b: Path, stop: Path) -> list[Formula]:
-    """Template subtree at `a` equals the one at `b`; traversal of the first
-    stops at the absolute position `stop`."""
-    if a == stop:
-        return []
-    a_in = mt.exists(a)
-    b_in = mt.exists(b)
-    if not a_in and not b_in:
-        return []
-    if not a_in:
-        return [enum_is(mt.sugar[b], NONE_SUGAR)]
-    if not b_in:
-        return [enum_is(mt.sugar[a], NONE_SUGAR)]
-    parts = [enum_is(mt.sugar[a], mt.sugar[b])]
-    for i in range(1, mt.width + 1):
-        parts.extend(_exact_template_pair(ctx, mt, a + (i,), b + (i,), stop))
-    return parts
-
-
-def _outside_equality(ctx, mt, anchor: Path, mol: Molecule) -> list[Formula]:
-    parts = []
-    for p in mt.paths:
-        if p[: len(anchor)] == anchor:
-            continue  # at or below the anchor: exempt
-        node = mol.node_at(p)
-        if node is None:
-            parts.append(enum_is(mt.sugar[p], NONE_SUGAR))
-        else:
-            parts.append(enum_is(mt.sugar[p], ctx.sugar_member(node.label)))
-    return parts
-
-
-def repeat_rejection(ctx: EncodingContext, mt: MoleculeTemplate,
-                     observed: list[Molecule]) -> Formula:
-    """Molecules equal to an observation with stacked repetitions inserted are
-    not counterexamples."""
-    d0, r0 = ctx.variants.repeat
-    if d0 * r0 > mt.height:
-        raise ValueError("repeat pattern cannot fit the molecule template")
-    parts = []
-    for mol in observed:
-        for anchor, _ in sorted(mol.positions()):
-            if not mt.exists(anchor):
-                continue
-            for depth in range(1, d0 + 1):
-                for ipath in index_paths(mt.width, depth):
-                    for reps in range(1, r0 + 1):
-                        heads = [anchor + ipath * i for i in range(reps + 1)]
-                        if not mt.exists(heads[-1]):
-                            break
-                        match = []
-                        match.extend(_outside_equality(ctx, mt, anchor, mol))
-                        for i in range(reps):
-                            match.extend(
-                                _exact_template_pair(
-                                    ctx, mt, heads[i], heads[i + 1], heads[i + 1]
-                                )
-                            )
-                        match.extend(
-                            _exact_template_vs_tree(
-                                ctx, mt, heads[-1], mol.node_at(anchor)
-                            )
-                        )
-                        parts.append(not_(conj(match)))
-    return conj(parts)
-
-
 # --------------------------------------------------------------------------
 # fast/slow: applicability of a template rule to a concrete molecule
 # --------------------------------------------------------------------------
@@ -859,7 +675,7 @@ def template_rule_applicable(ctx: EncodingContext, t: RuleTemplate,
                     anode = mol.node_at(apath)
                     parts.append(t.kappa_is(rpos, K_MATCH_ANS))
                     parts.append(
-                        _label_eq(t.label_op(rpos), ctx.sugar_member(anode.label))
+                        enum_is(t.label_op(rpos), ctx.sugar_member(anode.label))
                     )
                     next_slot = site[len(site) - i]
                     for j in range(1, len(anode.children) + 1):
@@ -890,7 +706,7 @@ def _static_match(ctx, t: RuleTemplate, rpath: Path, mol: Molecule,
     out = [
         implies(
             not_(t.kappa_is(rpath, K_ABSENT)),
-            _label_eq(t.label_op(rpath), ctx.sugar_member(node.label)),
+            enum_is(t.label_op(rpath), ctx.sugar_member(node.label)),
         )
     ]
     if ctx.variants.hard_ends:
@@ -1011,32 +827,6 @@ def _decode_rule(ctx: EncodingContext, model, t: RuleTemplate) -> Rule:
     except ModelError as exc:
         raise DecodeError(str(exc)) from exc
     return rule
-
-
-def decode_molecule(ctx: EncodingContext, model, mt: MoleculeTemplate) -> Molecule:
-    nu = {p: model.value(mt.sugar[p]) for p in mt.paths}
-
-    def build(path: Path) -> TreeNode:
-        label = ctx.sugar_name(nu[path])
-        if label is None:
-            raise DecodeError(f"present molecule node {path} without a sugar")
-        arity = ctx.alphabet.arity(label)
-        kids = []
-        for i in range(1, arity + 1):
-            child = path + (i,)
-            if mt.exists(child) and ctx.sugar_name(nu[child]) is not None:
-                kids.append(build(child))
-            else:
-                kids.append(None)
-        for i in range(arity + 1, mt.width + 1):
-            child = path + (i,)
-            if mt.exists(child) and ctx.sugar_name(nu[child]) is not None:
-                raise DecodeError(f"molecule child beyond arity at {child}")
-        return TreeNode(label, tuple(kids))
-
-    if ctx.sugar_name(nu[()]) is None:
-        raise DecodeError("decoded molecule has an absent root")
-    return Molecule(build(()))
 
 
 # --------------------------------------------------------------------------

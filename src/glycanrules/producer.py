@@ -44,6 +44,14 @@ class RepeatConfig:
     max_depth: int  # d0: deepest repeating pattern considered
     max_repeats: int  # r0: most stacked repetitions considered
 
+    def __post_init__(self):
+        # a zero would turn the variant off without a word
+        if self.max_depth < 1 or self.max_repeats < 1:
+            raise ValueError(
+                f"repeat depth and count must be at least 1, got "
+                f"{self.max_depth} and {self.max_repeats}"
+            )
+
 
 @dataclass(frozen=True)
 class ClosureConfig:
@@ -51,6 +59,10 @@ class ClosureConfig:
     repeat: Optional[RepeatConfig] = None
     fast_slow: bool = False
     max_molecules: int = 100_000
+
+    def __post_init__(self):
+        if self.height_bound < 0:
+            raise ValueError(f"height {self.height_bound} is negative")
 
 
 def apply(m: Molecule, path: Path, slot: int, rule: Rule) -> Optional[Molecule]:

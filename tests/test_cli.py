@@ -252,6 +252,50 @@ def test_limit_out_of_range_exits_one(dataset_dir, capsys, flag, value, message)
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "repeats_chain.gly", "--rules", "5", "--depth", "3",
+      "--repeats", "0", "5"], "repeat depth and count must be at least 1"),
+    (["verify", "motivating_rules.gr", "motivating.gly", "--repeats", "0", "-3"],
+     "repeat depth and count must be at least 1"),
+    (["enum", "motivating.gly", "--height", "-1"], "height -1 is negative"),
+    (["verify", "motivating_rules.gr", "motivating.gly", "--height", "-1"],
+     "height -1 is negative"),
+    (["synth", "motivating.gly", "--rules", "2", "--depth", "3", "--height", "-1"],
+     "height -1 below the tallest"),
+])
+def test_closure_flag_out_of_range_exits_one(dataset_dir, capsys, argv, message):
+    argv = [str(dataset_dir / a) if a.endswith((".gly", ".gr")) else a
+            for a in argv]
+    assert run_cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("name, budget, flags, marker, bare_code", [
+    ("compartments_pair", ["--rules", "3", "--depth", "2"],
+     ["--compartments", "2"], "@comp=2", 0),
+    ("repeats_chain", ["--rules", "5", "--depth", "3"],
+     ["--repeats", "1", "5"], None, 2),
+    ("hardends_gate", ["--rules", "2", "--depth", "2", "--hard-ends"],
+     [], "!", 0),
+    ("fastslow_pair", ["--rules", "2", "--depth", "2"],
+     ["--fast-slow"], "@fast", 2),
+])
+def test_variant_rules_out_round_trip(dataset_dir, tmp_path, name, budget,
+                                      flags, marker, bare_code):
+    data = str(dataset_dir / f"{name}.gly")
+    rules_out = tmp_path / "rules.gr"
+    code = run_cli(["synth", data, *budget, *flags, "--rules-out", str(rules_out),
+                    "--report", str(tmp_path / "report.txt")])
+    assert code == 0
+    if marker is not None:
+        assert marker in rules_out.read_text()
+    assert run_cli(["verify", str(rules_out), data, *flags]) == 0
+    # the variants the rule file cannot carry must come from the flags
+    assert run_cli(["verify", str(rules_out), data]) == bare_code
+
+
 def test_solver_flag_resolves_its_own_args(monkeypatch):
     def config(*extra):
         return _solver_config(build_parser().parse_args(

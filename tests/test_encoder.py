@@ -16,12 +16,9 @@ from glycanrules.encoder import (
     K_MATCH_ANS,
     RuleTemplate,
     Variants,
-    decode_molecule,
     decode_rules,
     encode_produce,
-    make_molecule_template,
     make_rule_templates,
-    mol_template_correctness,
     negative_constraint,
     rule_template_correctness,
     symmetry_break,
@@ -38,7 +35,6 @@ from glycanrules.grammar import parse_molecule, parse_rule, serialize_molecule, 
 from glycanrules.producer import (
     ClosureConfig,
     closure,
-    is_rooted_prefix,
     seed_molecules,
 )
 
@@ -147,31 +143,6 @@ def test_every_correctness_model_decodes():
     assert res == "sat"
     rs = decode_rules(ctx, model, templates)
     assert len(rs) == 2  # decoding validates all invariants internally
-
-
-def test_molecule_template_basics():
-    ctx = EncodingContext(AB2, 0)
-    mt = make_molecule_template(ctx, 2, 2)
-    observed = [parse_molecule("A(B, _)", AB2)]
-    mcons = mol_template_correctness(ctx, mt, observed)
-    res, model = solve([mcons], [mt.sugar[p] for p in mt.paths])
-    assert res == "sat"
-    decoded = decode_molecule(ctx, model, mt)
-    # the decoded molecule is a genuine non-prefix of the observation
-    assert not is_rooted_prefix(decoded, observed[0])
-    # pinning the template to the observation itself is contradictory
-    pins = [
-        enum_is(mt.sugar[()], ctx.sugar_member("A")),
-        enum_is(mt.sugar[(1,)], ctx.sugar_member("B")),
-        enum_is(mt.sugar[(2,)], "SugNone"),
-        enum_is(mt.sugar[(1, 1)], "SugNone"),
-    ]
-    res, _ = solve([mcons] + pins)
-    assert res == "unsat"
-    # and pinning it to a strict rooted prefix is contradictory too
-    pins[1] = enum_is(mt.sugar[(1,)], "SugNone")
-    res, _ = solve([mcons] + pins)
-    assert res == "unsat"
 
 
 def sample_rule_sets(rng, alphabet, depth, count, how_many):
@@ -348,43 +319,6 @@ def test_all_rules_fast_dominance_vacuous():
     f, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, both), sides)
     res, _ = solve([f])
     assert res == "sat"
-
-
-def test_repeat_rejection_matches_examples():
-    alphabet = MonomerAlphabet([("A", 1), ("B", 1)])
-    observed = [parse_molecule("A(B)", alphabet)]
-    ctx = EncodingContext(alphabet, 0, Variants(repeat=(1, 2)))
-    mt = make_molecule_template(ctx, 3, 1)
-    mcons = mol_template_correctness(ctx, mt, observed)
-    # A(B(B)) is no longer a valid counterexample
-    pins = [
-        enum_is(mt.sugar[()], ctx.sugar_member("A")),
-        enum_is(mt.sugar[(1,)], ctx.sugar_member("B")),
-        enum_is(mt.sugar[(1, 1)], ctx.sugar_member("B")),
-        enum_is(mt.sugar[(1, 1, 1)], "SugNone"),
-    ]
-    res, _ = solve([mcons] + pins)
-    assert res == "unsat"
-    # without the variant it is one
-    ctx0 = EncodingContext(alphabet, 0)
-    mt0 = make_molecule_template(ctx0, 3, 1)
-    mcons0 = mol_template_correctness(ctx0, mt0, observed)
-    pins0 = [
-        enum_is(mt0.sugar[()], ctx0.sugar_member("A")),
-        enum_is(mt0.sugar[(1,)], ctx0.sugar_member("B")),
-        enum_is(mt0.sugar[(1, 1)], ctx0.sugar_member("B")),
-        enum_is(mt0.sugar[(1, 1, 1)], "SugNone"),
-    ]
-    res, _ = solve([mcons0] + pins0)
-    assert res == "sat"
-
-
-def test_repeat_config_must_fit_template():
-    alphabet = MonomerAlphabet([("A", 1), ("B", 1)])
-    ctx = EncodingContext(alphabet, 0, Variants(repeat=(2, 3)))
-    mt = make_molecule_template(ctx, 3, 1)
-    with pytest.raises(ValueError):
-        mol_template_correctness(ctx, mt, [parse_molecule("A(B)", alphabet)])
 
 
 def test_template_rule_applicable_static():

@@ -75,7 +75,7 @@ def test_variants_off_by_default():
     assert not v.fast_slow and not v.hard_ends and v.repeat is None
 
 
-def test_repeat_zero_is_plain(dataset_dir):
+def test_repeat_zero_is_rejected(dataset_dir):
     data = parse_dataset((dataset_dir / "repeats_chain.gly").read_text())
     rules = [
         parse_rule("A(*B)", data.alphabet),
@@ -85,7 +85,9 @@ def test_repeat_zero_is_plain(dataset_dir):
         parse_rule("B(B(*C))", data.alphabet),
     ]
     rs = RuleSet(tuple(rules))
-    plain = verify(rs, data, ClosureConfig(6))
-    degenerate = verify(rs, data, ClosureConfig(6, repeat=RepeatConfig(1, 0)))
-    assert plain.passed == degenerate.passed == False
-    assert {str(m) for m in plain.extras} == {str(m) for m in degenerate.extras}
+    assert not verify(rs, data, ClosureConfig(6)).passed
+    assert verify(rs, data, ClosureConfig(6, repeat=RepeatConfig(1, 5))).passed
+    # a zero would silently verify without the variant
+    for d0, r0 in ((1, 0), (0, 1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            RepeatConfig(d0, r0)
