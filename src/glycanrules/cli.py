@@ -30,13 +30,12 @@ from .driver import (
 from .encoder import Variants
 from .grammar import (
     ParseError,
-    molecule_sort_key,
     molecule_to_dot,
     parse_dataset,
     parse_rules,
     rule_to_dot,
     serialize_molecule,
-    serialize_rule,
+    serialize_rules,
 )
 from .producer import (
     ClosureBudgetExceeded,
@@ -75,7 +74,6 @@ def _load_rules(path: str, alphabet):
 def _variants(args) -> Variants:
     repeat = tuple(args.repeats) if args.repeats else None
     return Variants(
-        compartments=args.compartments,
         fast_slow=args.fast_slow,
         hard_ends=args.hard_ends,
         repeat=repeat,
@@ -115,9 +113,6 @@ def run_synth(args) -> int:
         solver=_solver_config(args),
         limits=Limits(max_iterations=args.max_iters, wall_clock_s=args.wall_clock),
     )
-    # validate flags before any work
-    job.resolved_width()
-    job.resolved_height()
     outcome = synthesize(job)
     for warning in outcome.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -127,12 +122,7 @@ def run_synth(args) -> int:
     else:
         sys.stdout.write(report)
     if outcome.status == SYNTHESIZED and args.rules_out:
-        from .grammar import serialize_rules
-
-        _write_atomic(
-            args.rules_out,
-            serialize_rules(list(outcome.rules), outcome.rules.compartment_count),
-        )
+        _write_atomic(args.rules_out, serialize_rules(outcome.rules))
     if outcome.status == SYNTHESIZED and args.dot:
         _emit_dot(args.dot, outcome.rules, data)
     return {SYNTHESIZED: 0, NO_RULES: 2, INCONCLUSIVE: 3}[outcome.status]
@@ -143,11 +133,10 @@ def run_verify(args) -> int:
     rules = _load_rules(args.rules_file, data.alphabet)
     height = args.height if args.height is not None else data.max_height
     repeat = RepeatConfig(*args.repeats) if args.repeats else None
-    compartments = max([args.compartments] + [r.compartment for r in rules])
     cfg = ClosureConfig(
         height_bound=height, repeat=repeat, fast_slow=args.fast_slow
     )
-    report = verify(RuleSet(tuple(rules), compartments), data, cfg)
+    report = verify(RuleSet(tuple(rules)), data, cfg)
     sys.stdout.write(report.to_text())
     if args.report:
         _write_atomic(args.report, report.to_kv())
@@ -158,12 +147,9 @@ def run_enum(args) -> int:
     data = _load_dataset(args.dataset)
     rules = _load_rules(args.rules_file, data.alphabet) if args.rules_file else []
     height = args.height if args.height is not None else data.max_height
-    compartments = max([args.compartments] + [r.compartment for r in rules])
     cfg = ClosureConfig(height_bound=height, fast_slow=args.fast_slow)
-    result = closure(
-        seed_molecules(data.alphabet), RuleSet(tuple(rules), compartments), cfg
-    )
-    for mol in sorted(result.molecules.values(), key=molecule_sort_key):
+    result = closure(seed_molecules(data.alphabet), RuleSet(tuple(rules)), cfg)
+    for mol in result.sorted_molecules():
         print(serialize_molecule(mol))
     return 0
 
@@ -175,13 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def closure_flags(p):
         p.add_argument("--height", type=int, default=None,
                        help="closure bound: the height up to which the oracle "
                             "grows producible molecules (default: tallest "
                             "observation)")
-        p.add_argument("--compartments", type=int, default=1)
         p.add_argument("--fast-slow", action="store_true")
+
+    def verdict_flags(p):
+        closure_flags(p)
         p.add_argument("--repeats", nargs=2, type=int, metavar=("D0", "R0"),
                        help="accept stacked repetitions up to depth D0, count R0")
         p.add_argument("--report", default=None, help="write the report here")
@@ -192,7 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--depth", type=int, required=True, help="rule depth budget")
     synth.add_argument("--width", type=int, default=None,
                        help="template width (default: maximum arity)")
-    common(synth)
+    synth.add_argument("--compartments", type=int, default=1,
+                       help="compartment budget: the stages a rule may be "
+                            "placed in")
+    verdict_flags(synth)
     synth.add_argument("--hard-ends", action="store_true")
     synth.add_argument("--solver", default=None, help="SMT solver executable")
     synth.add_argument("--timeout", type=int, default=600_000,
@@ -210,14 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verify a rule file against a dataset")
     ver.add_argument("rules_file")
     ver.add_argument("dataset")
-    common(ver)
+    verdict_flags(ver)
     ver.set_defaults(func=run_verify)
 
     enum = sub.add_parser("enum", help="enumerate the producible closure")
     enum.add_argument("rules_file", nargs="?", default=None,
                       help="rule file (omit for seeds only)")
     enum.add_argument("dataset", help="dataset file (alphabet source)")
-    common(enum)
+    closure_flags(enum)
     enum.set_defaults(func=run_enum)
     return parser
 

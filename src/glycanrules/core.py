@@ -274,17 +274,11 @@ class Rule:
 @dataclass(frozen=True)
 class RuleSet:
     rules: tuple[Rule, ...]
-    compartment_count: int = 1
 
-    def __post_init__(self):
-        if self.compartment_count < 1:
-            raise ModelError("need at least one compartment")
-        for r in self.rules:
-            if r.compartment > self.compartment_count:
-                raise ModelError(
-                    f"rule compartment {r.compartment} exceeds count "
-                    f"{self.compartment_count}"
-                )
+    @property
+    def compartment_count(self) -> int:
+        """The stages the rules occupy: stages past the highest apply none."""
+        return max((r.compartment for r in self.rules), default=1)
 
     def in_compartment(self, c: int) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.compartment == c)

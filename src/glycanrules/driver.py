@@ -152,27 +152,20 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     if not limits.wall_clock_s > 0:
         raise ValueError(f"wall clock limit {limits.wall_clock_s} is not positive")
     w = job.resolved_width()
-    variants = Variants(
-        compartments=k,
-        fast_slow=job.variants.fast_slow,
-        hard_ends=job.variants.hard_ends,
-        repeat=job.variants.repeat,
-    )
+    closure_cfg = job.closure_config()  # validates the height
     started = time.monotonic()
     deadline = started + limits.wall_clock_s
     cfg = job.solver or default_solver_config()
     outcome = SynthesisOutcome(status=INCONCLUSIVE)
 
-    ctx = EncodingContext(data.alphabet, n, variants)
+    ctx = EncodingContext(data.alphabet, n, job.variants, compartments=k)
     templates = make_rule_templates(ctx, d, w, n) if n > 0 else []
     tcons = rule_template_correctness(ctx, templates)
     if n > 1:
         tcons = conj([tcons, symmetry_break(templates)])
 
     template_vars = [v for t in templates for v in t.all_vars()]
-    observed_keys = {serialize_molecule(m) for m in data.molecules}
     seen_counterexamples: set[str] = set()
-    closure_cfg = job.closure_config()
     # set when the counterexample search or the oracle gate hit the closure's
     # cap, which verifying the same candidate would hit again
     closure_aborted = False
@@ -205,7 +198,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                     outcome.warnings.append("synthesis query returned unknown")
                 break
             model = synth.get_model(template_vars)
-            rules = decode_rules(ctx, model, templates) if n > 0 else RuleSet((), k)
+            rules = decode_rules(ctx, model, templates) if n > 0 else RuleSet(())
 
             t1 = time.monotonic()
             found = None
@@ -235,7 +228,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                 outcome.duplicate_counterexamples += 1
             seen_counterexamples.add(key)
 
-            fast_escape = variants.fast_slow and key not in observed_keys and any(
+            fast_escape = job.variants.fast_slow and any(
                 is_rooted_prefix(counterexample, obs) for obs in data.molecules
             )
             nc = negative_constraint(
@@ -360,10 +353,10 @@ def brute_force_synth(job: SynthesisJob, max_sets: int = 2_000_000
     cfg = job.closure_config()
     outcome = SynthesisOutcome(status=NO_RULES)
     if n == 0:
-        report = verify(RuleSet((), k), data, cfg)
+        report = verify(RuleSet(()), data, cfg)
         if report.passed:
             return SynthesisOutcome(
-                status=SYNTHESIZED, rules=RuleSet((), k), verification=report
+                status=SYNTHESIZED, rules=RuleSet(()), verification=report
             )
         return outcome
     candidates = enumerate_rules(
@@ -375,7 +368,7 @@ def brute_force_synth(job: SynthesisJob, max_sets: int = 2_000_000
             checked += 1
             if checked > max_sets:
                 raise BudgetTooLarge(f"more than {max_sets} rule sets")
-            rs = RuleSet(tuple(combo), k)
+            rs = RuleSet(combo)
             try:
                 report = verify(rs, data, cfg)
             except ClosureBudgetExceeded:

@@ -67,19 +67,21 @@ class DecodeError(RuntimeError):
 
 @dataclass
 class Variants:
-    compartments: int = 1
     fast_slow: bool = False
     hard_ends: bool = False
     repeat: Optional[tuple[int, int]] = None  # (d0, r0)
 
 
 class EncodingContext:
-    """Sorts and the variable registry shared by one synthesis job."""
+    """Sorts and the variable registry shared by one synthesis job;
+    `compartments` is the budget of stages a rule may be placed in."""
 
     def __init__(self, alphabet: MonomerAlphabet, n_rules: int,
-                 variants: Optional[Variants] = None, namespace: str = ""):
+                 variants: Optional[Variants] = None, namespace: str = "",
+                 compartments: int = 1):
         self.alphabet = alphabet
         self.variants = variants or Variants()
+        self.compartments = compartments
         self.registry = VarRegistry(namespace)
         # sort names are shared across contexts: sessions deduplicate sort
         # declarations by name, so contexts sharing one session must agree on
@@ -87,7 +89,6 @@ class EncodingContext:
         members = (NONE_SUGAR,) + tuple(f"Sug_{m.name}" for m in alphabet)
         self.sugar_sort = EnumSort("Sugar", members)
         self.situation_sort = EnumSort("Situation", SITUATIONS)
-        self.n_rules = n_rules
         self.prod_counter = 0
         if n_rules > 0:
             self.rule_sort = EnumSort(
@@ -128,7 +129,6 @@ class RuleTemplate:
     """Full tree of depth `depth`/width `width` of choice variables."""
 
     def __init__(self, ctx: EncodingContext, index: int, depth: int, width: int):
-        self.index = index
         self.depth = depth
         self.width = width
         self.paths = full_tree_paths(depth, width)
@@ -141,8 +141,7 @@ class RuleTemplate:
             p: reg.make(f"{tag}_kappa_{_ptag(p)}", ctx.situation_sort)
             for p in self.paths
         }
-        k = ctx.variants.compartments
-        self.compartment = reg.make(f"{tag}_comp", IntSort(1, k))
+        self.compartment = reg.make(f"{tag}_comp", IntSort(1, ctx.compartments))
         self.fast = (
             reg.make(f"{tag}_fast", BOOL) if ctx.variants.fast_slow else None
         )
@@ -308,7 +307,7 @@ class ProductionVars:
         else:
             self.rmatch = {}
         self.tau = {p: reg.make(f"{tag}_tau_{_ptag(p)}", IntSort(0, n)) for p in paths}
-        k = ctx.variants.compartments
+        k = ctx.compartments
         if k > 1:
             self.comp = {
                 p: reg.make(f"{tag}_comp_{_ptag(p)}", IntSort(1, k)) for p in paths
@@ -340,7 +339,7 @@ class ProduceEncoder:
         self.mol = mol
         self.rules = rules
         self.prod = ProductionVars(ctx, mol)
-        self.k = ctx.variants.compartments
+        self.k = ctx.compartments
 
     # -- time-order side conditions --
 
@@ -762,10 +761,7 @@ def symmetry_break(templates: list[RuleTemplate]) -> Formula:
 
 def decode_rules(ctx: EncodingContext, model, templates: list[RuleTemplate]
                  ) -> RuleSet:
-    rules = []
-    for t in templates:
-        rules.append(_decode_rule(ctx, model, t))
-    return RuleSet(tuple(rules), compartment_count=ctx.variants.compartments)
+    return RuleSet(tuple(_decode_rule(ctx, model, t) for t in templates))
 
 
 def _decode_rule(ctx: EncodingContext, model, t: RuleTemplate) -> Rule:

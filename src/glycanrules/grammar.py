@@ -320,14 +320,8 @@ def serialize_dataset(d: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_rules(rules, compartment_count: int = 1) -> str:
-    lines = [f"# compartments: {compartment_count}"]
-    lines.extend(serialize_rule(r) for r in rules)
-    return "\n".join(lines) + "\n"
-
-
-def molecule_sort_key(m: Molecule):
-    return (m.node_count, serialize_molecule(m))
+def serialize_rules(rules) -> str:
+    return "".join(serialize_rule(r) + "\n" for r in rules)
 
 
 def molecule_to_dot(m: Molecule, name: str = "molecule") -> str:

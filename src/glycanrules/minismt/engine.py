@@ -49,7 +49,7 @@ class Universal:
 
 
 class Engine:
-    def __init__(self, is_sub=False):
+    def __init__(self):
         self.sat = Solver()
         # where lowering sends its clauses: the solver, or the buffer of
         # `_lower_instances`
@@ -65,7 +65,6 @@ class Engine:
         self.lowered: dict[tuple, int] = {}  # term -> its literal
         self.universals: list[Universal] = []
         self.model_vals: list | None = None
-        self.is_sub = is_sub
         self.mbqi_rounds = 0
         self.instances = 0
         self.violation_solves = 0
@@ -413,8 +412,6 @@ class Engine:
         self.sat.add_clause([self._lower(term)])
 
     def _assert_forall(self, term):
-        if self.is_sub:
-            raise SolverError("nested quantifiers are not supported")
         binders = term[1]
         body = term[2]
         bounds = []
@@ -525,7 +522,7 @@ class Engine:
 
     def _find_violation(self, uni: Universal, snapshot, deadline):
         if uni.sub is None:
-            sub = Engine(is_sub=True)
+            sub = Engine()
             sub.enums = dict(self.enums)
             sub.member_sort = dict(self.member_sort)
             free = []

@@ -206,11 +206,7 @@ def _derive(seeds, rs: RuleSet, cfg: ClosureConfig, result: ClosureResult
 
 
 def _exact_pos(
-    a: Optional[TreeNode],
-    pa: Path,
-    b: Optional[TreeNode],
-    pb: Path,
-    stop: Optional[Path],
+    a: Optional[TreeNode], pa: Path, b: Optional[TreeNode], stop: Optional[Path]
 ) -> bool:
     """Structural equality of two subtrees; traversal of the first argument
     stops (succeeds) at the absolute position `stop` in its tree."""
@@ -222,7 +218,7 @@ def _exact_pos(
         return False
     slots = max(len(a.children), len(b.children))
     for i in range(1, slots + 1):
-        if not _exact_pos(a.child(i), pa + (i,), b.child(i), pb + (i,), stop):
+        if not _exact_pos(a.child(i), pa + (i,), b.child(i), stop):
             return False
     return True
 
@@ -245,7 +241,7 @@ def _equal_outside(a: Optional[TreeNode], b: Optional[TreeNode], anchor: Path) -
             if not _equal_outside(a.child(i), b.child(i), anchor[1:]):
                 return False
         else:
-            if not _exact_pos(a.child(i), (), b.child(i), (), None):
+            if not _exact_pos(a.child(i), (), b.child(i), None):
                 return False
     return True
 
@@ -270,14 +266,12 @@ def repeat_explains(extra: Molecule, observed: Molecule, cfg: RepeatConfig) -> b
                         break  # deeper repetitions cannot exist either
                     if not all(
                         _exact_pos(
-                            heads[i], head_paths[i],
-                            heads[i + 1], head_paths[i + 1],
-                            head_paths[i + 1],
+                            heads[i], head_paths[i], heads[i + 1], head_paths[i + 1]
                         )
                         for i in range(reps)
                     ):
                         continue
-                    if _exact_pos(m_node, anchor_path, heads[-1], head_paths[-1], None):
+                    if _exact_pos(m_node, anchor_path, heads[-1], None):
                         return True
     return False
 

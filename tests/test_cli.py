@@ -221,6 +221,25 @@ def test_mode_flag_is_gone(dataset_dir, capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["enum", "motivating_rules.gr", "motivating.gly", "--repeats", "1", "5"],
+     "--repeats"),
+    (["enum", "motivating_rules.gr", "motivating.gly", "--report", "F"], "--report"),
+    (["enum", "motivating_rules.gr", "motivating.gly", "--compartments", "2"],
+     "--compartments"),
+    (["verify", "motivating_rules.gr", "motivating.gly", "--compartments", "2"],
+     "--compartments"),
+])
+def test_flags_a_subcommand_does_not_read_exit_one(dataset_dir, capsys, argv, flag):
+    # verify and enum take their stages from each rule's @comp=
+    argv = [str(dataset_dir / a) if a.endswith((".gly", ".gr")) else a
+            for a in argv]
+    assert run_cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err
+
+
 def test_directory_as_data_set_exits_one(tmp_path, capsys):
     assert run_cli(["synth", str(tmp_path), "--rules", "1", "--depth", "2"]) == 1
     err = capsys.readouterr().err
@@ -273,8 +292,9 @@ def test_closure_flag_out_of_range_exits_one(dataset_dir, capsys, argv, message)
 
 
 @pytest.mark.parametrize("name, budget, flags, marker, bare_code", [
-    ("compartments_pair", ["--rules", "3", "--depth", "2"],
-     ["--compartments", "2"], "@comp=2", 0),
+    # the compartment budget is synth's alone; verify reads each rule's @comp=
+    ("compartments_pair", ["--rules", "3", "--depth", "2", "--compartments", "2"],
+     [], "@comp=2", 0),
     ("repeats_chain", ["--rules", "5", "--depth", "3"],
      ["--repeats", "1", "5"], None, 2),
     ("hardends_gate", ["--rules", "2", "--depth", "2", "--hard-ends"],

@@ -170,8 +170,16 @@ def test_rule_invariants():
     tree = TreeNode("A", (TreeNode("D"), None))
     with pytest.raises(ModelError):
         Rule(tree, (1,), hard_ends=frozenset({((), 1)}))  # occupied slot
-    with pytest.raises(ModelError):
-        RuleSet((Rule(tree, (1,), compartment=3),), compartment_count=2)
+    # a rule set no longer has a count to exceed: it takes its rules' stages
+    assert RuleSet((Rule(tree, (1,), compartment=3),)).compartment_count == 3
+
+
+def test_rule_set_derives_its_compartment_count():
+    tree = TreeNode("A", (TreeNode("D"), None))
+    staged = Rule(tree, (1,), compartment=2)
+    assert RuleSet((staged,)).compartment_count == 2
+    assert RuleSet((Rule(tree, (1,)), staged)).compartment_count == 2
+    assert RuleSet(()).compartment_count == 1
 
 
 def test_random_value_roundtrips():

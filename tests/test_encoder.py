@@ -263,7 +263,7 @@ def test_compartment_constraints_entailed_at_k1(dataset_dir):
     # flat: producible; staged: not
     ctx1 = EncodingContext(data.alphabet, 3)
     assert check_produce(ctx1, bad, [ConcreteRuleSide(ctx1, r) for r in flat]) == "sat"
-    ctx2 = EncodingContext(data.alphabet, 3, Variants(compartments=2))
+    ctx2 = EncodingContext(data.alphabet, 3, compartments=2)
     sides2 = [ConcreteRuleSide(ctx2, r) for r in staged]
     assert check_produce(ctx2, bad, sides2) == "unsat"
 
@@ -336,17 +336,17 @@ def test_template_rule_applicable_static():
     assert res == "unsat"
 
 
-@pytest.mark.parametrize("variants", [
-    Variants(), Variants(compartments=2), Variants(fast_slow=True),
-    Variants(hard_ends=True),
+@pytest.mark.parametrize("variants, compartments", [
+    (Variants(), 1), (Variants(), 2), (Variants(fast_slow=True), 1),
+    (Variants(hard_ends=True), 1),
 ], ids=["plain", "k2", "fast_slow", "hard_ends"])
-def test_every_production_variable_occurs_in_its_encoding(variants):
+def test_every_production_variable_occurs_in_its_encoding(variants, compartments):
     """No production variable is bound in a universal that nothing reads."""
     molecules = [
         "A", "B", "C", "B(C)", "A(_, B)", "A(B, C)", "B(B(C))", "A(B(C), _)",
         "A(B(C), C)", "B(A(C, C))", "B(B(B(C)))", "A(A(B, C), _)",
     ]
-    ctx = EncodingContext(AB2, 2, variants)
+    ctx = EncodingContext(AB2, 2, variants, compartments=compartments)
     templates = make_rule_templates(ctx, 3, 2, 2)
     for text in molecules:
         mol = parse_molecule(text, AB2)

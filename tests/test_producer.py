@@ -220,7 +220,7 @@ def test_compartment_staging_blocks_early_rules(dataset_dir):
         parse_rule("X(*W)", data.alphabet),
         parse_rule("Q(*S(X)) @comp=2", data.alphabet),
     ]
-    rs = RuleSet(tuple(staged), compartment_count=2)
+    rs = RuleSet(tuple(staged))
     report = verify(rs, data, ClosureConfig(height_bound=3))
     assert report.passed, report.to_text()
 
@@ -304,12 +304,13 @@ SEARCH_ALPHABETS = [
     MonomerAlphabet([("A", 1), ("B", 1)]),
     MonomerAlphabet([("A", 2), ("B", 1), ("C", 0)]),
 ]
+# (variants, compartment budget)
 SEARCH_VARIANTS = [
-    Variants(),
-    Variants(compartments=2),
-    Variants(fast_slow=True),
-    Variants(hard_ends=True),
-    Variants(repeat=(1, 2)),
+    (Variants(), 1),
+    (Variants(), 2),
+    (Variants(fast_slow=True), 1),
+    (Variants(hard_ends=True), 1),
+    (Variants(repeat=(1, 2)), 1),
 ]
 
 
@@ -318,9 +319,10 @@ def search_config(variants: Variants, height: int) -> ClosureConfig:
     return ClosureConfig(height, repeat=repeat, fast_slow=variants.fast_slow)
 
 
-def witness_folds(alphabet, rs: RuleSet, mol, steps, variants: Variants) -> bool:
+def witness_folds(alphabet, rs: RuleSet, mol, steps, variants: Variants,
+                  compartments: int = 1) -> bool:
     """The derivation's binding satisfies the concrete/concrete encoding."""
-    ctx = EncodingContext(alphabet, len(rs), variants)
+    ctx = EncodingContext(alphabet, len(rs), variants, compartments=compartments)
     sides = [ConcreteRuleSide(ctx, r) for r in rs]
     body, prod = encode_produce(ctx, ConcreteMoleculeSide(ctx, mol), sides)
     return substitute(body, derivation_binding(prod, rs, steps)) is TRUE
@@ -332,17 +334,13 @@ def test_first_extra_agrees_with_verify(seed):
     found_some = 0
     for _ in range(25):
         alphabet = rng.choice(SEARCH_ALPHABETS)
-        variants = rng.choice(SEARCH_VARIANTS)
+        variants, k = rng.choice(SEARCH_VARIANTS)
         universe = [
             Molecule(t) for t in enumerate_trees(alphabet, 2, alphabet.max_arity)
         ]
         data = Dataset(alphabet, tuple(rng.sample(universe, rng.randint(1, 3))))
-        candidates = enumerate_rules(
-            alphabet, 2, alphabet.max_arity, variants.compartments, variants
-        )
-        rs = RuleSet(
-            tuple(rng.sample(candidates, rng.randint(1, 3))), variants.compartments
-        )
+        candidates = enumerate_rules(alphabet, 2, alphabet.max_arity, k, variants)
+        rs = RuleSet(tuple(rng.sample(candidates, rng.randint(1, 3))))
         cfg = search_config(variants, data.max_height + 1)
         report = verify(rs, data, cfg)
         found = first_extra(rs, data, cfg)
@@ -353,7 +351,7 @@ def test_first_extra_agrees_with_verify(seed):
         assert mol in report.extras
         if rs.compartment_count == 1:
             assert mol == report.extras[0]
-        assert witness_folds(alphabet, rs, mol, steps, variants)
+        assert witness_folds(alphabet, rs, mol, steps, variants, k)
         found_some += 1
     assert found_some
 

@@ -71,7 +71,6 @@ def test_fastslow_prefix_rule_in_verification(motivating, motivating_rules):
 
 def test_variants_off_by_default():
     v = Variants()
-    assert v.compartments == 1
     assert not v.fast_slow and not v.hard_ends and v.repeat is None
 
 
