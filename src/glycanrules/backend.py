@@ -4,8 +4,8 @@ The session speaks SMT-LIB2 v2.6 text over a solver's pipes: one
 `(check-sat)` per query, models fetched with `(get-value ...)` over explicit
 variable lists.  Assertions only accumulate; a caller that needs one taken
 back opens a new session.  Identical formulas produce byte-identical text
-(deterministic name allocation and let-naming), which makes query transcripts
-replayable.
+(deterministic name allocation, and every formula written as plain terms),
+which makes query transcripts replayable.
 
 Each session starts one solver process.  The default solver is the bundled
 one, started as `python -S -c LOADER`: the client compiles `minismt` once per
@@ -126,48 +126,21 @@ def _sort_text(sort) -> str:
 
 
 class _Emitter:
-    """Deterministic text for one formula; reused subterms become lets.
+    """Deterministic text for one formula, written as plain terms.
 
-    After `emit`, the keys of `free` are the free variables the text names,
-    in the order they first occur; variables a `forall` binds are left out.
+    A node reached twice is written twice; the solver gives equal term
+    structure one literal, so the text shares nothing itself.  After `emit`,
+    the keys of `free` are the free variables the text names, in the order
+    they first occur; variables a `forall` binds are left out.
     """
 
     def __init__(self):
-        self.let_counter = 0
         self.free: dict[Var, None] = {}
         self._bound: frozenset = frozenset()
 
     def emit(self, f: Formula) -> str:
-        refs: dict[int, int] = {}
-        inside: set[int] = set()
-        self._count(f, refs, set(), False, inside)
         self.free = {}
-        names: dict[int, str] = {}
-        bindings: list[tuple[str, str]] = []
-        body = self._text(f, refs, names, bindings, inside)
-        for name, value in reversed(bindings):
-            body = f"(let (({name} {value})) {body})"
-        return body
-
-    def _count(self, f: Formula, refs: dict, seen: set, under: bool, inside: set):
-        if isinstance(f, (And, Or, Not, Implies, Iff, Forall)):
-            key = id(f)
-            refs[key] = refs.get(key, 0) + 1
-            if under:
-                inside.add(key)
-            if key in seen:
-                return
-            seen.add(key)
-            if isinstance(f, Not):
-                self._count(f.arg, refs, seen, under, inside)
-            elif isinstance(f, (And, Or)):
-                for a in f.args:
-                    self._count(a, refs, seen, under, inside)
-            elif isinstance(f, (Implies, Iff)):
-                self._count(f.left, refs, seen, under, inside)
-                self._count(f.right, refs, seen, under, inside)
-            else:
-                self._count(f.body, refs, seen, True, inside)
+        return self._text(f)
 
     def _name(self, v) -> str:
         """The text of an operand, recording a variable no enclosing `forall`
@@ -179,7 +152,7 @@ class _Emitter:
             self.free[v] = None
         return v.name
 
-    def _text(self, f: Formula, refs, names, bindings, inside) -> str:
+    def _text(self, f: Formula) -> str:
         if f is TRUE:
             return "true"
         if f is FALSE:
@@ -190,32 +163,17 @@ class _Emitter:
             return f"(= {self._name(f.left)} {self._name(f.right)})"
         if isinstance(f, IntCmp):
             return f"({f.op} {self._name(f.lhs)} {self._name(f.rhs)})"
-        key = id(f)
-        if key in names:
-            return names[key]
         if isinstance(f, Not):
-            text = f"(not {self._text(f.arg, refs, names, bindings, inside)})"
-        elif isinstance(f, And):
-            inner = " ".join(
-                self._text(a, refs, names, bindings, inside) for a in f.args
-            )
-            text = f"(and {inner})"
-        elif isinstance(f, Or):
-            inner = " ".join(
-                self._text(a, refs, names, bindings, inside) for a in f.args
-            )
-            text = f"(or {inner})"
-        elif isinstance(f, Implies):
-            text = (
-                f"(=> {self._text(f.left, refs, names, bindings, inside)}"
-                f" {self._text(f.right, refs, names, bindings, inside)})"
-            )
-        elif isinstance(f, Iff):
-            text = (
-                f"(= {self._text(f.left, refs, names, bindings, inside)}"
-                f" {self._text(f.right, refs, names, bindings, inside)})"
-            )
-        elif isinstance(f, Forall):
+            return f"(not {self._text(f.arg)})"
+        if isinstance(f, And):
+            return "(and " + " ".join(self._text(a) for a in f.args) + ")"
+        if isinstance(f, Or):
+            return "(or " + " ".join(self._text(a) for a in f.args) + ")"
+        if isinstance(f, Implies):
+            return f"(=> {self._text(f.left)} {self._text(f.right)})"
+        if isinstance(f, Iff):
+            return f"(= {self._text(f.left)} {self._text(f.right)})"
+        if isinstance(f, Forall):
             binders = " ".join(f"({v.name} {_sort_text(v.sort)})" for v in f.vars)
             guard_parts = []
             for v in f.vars:
@@ -230,19 +188,10 @@ class _Emitter:
                 guard = "(and " + " ".join(guard_parts) + ")"
             outer = self._bound
             self._bound = outer | set(f.vars)
-            body = self._text(f.body, refs, names, bindings, inside)
+            body = self._text(f.body)
             self._bound = outer
-            text = f"(forall ({binders}) (=> {guard} {body}))"
-        else:
-            raise BackendError(f"cannot emit node {f!r}")
-        # nodes under a binder cannot be lifted into outer lets
-        if refs.get(key, 0) > 1 and key not in inside and not isinstance(f, Forall):
-            name = f"l{self.let_counter}"
-            self.let_counter += 1
-            bindings.append((name, text))
-            names[key] = name
-            return name
-        return text
+            return f"(forall ({binders}) (=> {guard} {body}))"
+        raise BackendError(f"cannot emit node {f!r}")
 
 
 class Model:

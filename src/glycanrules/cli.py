@@ -102,7 +102,6 @@ def run_synth(args) -> int:
     budgets = Budgets(
         rules=args.rules,
         depth=args.depth,
-        width=args.width,
         height=args.height,
         compartments=args.compartments,
     )
@@ -178,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("input", help="dataset file")
     synth.add_argument("--rules", type=int, required=True, help="rule count budget")
     synth.add_argument("--depth", type=int, required=True, help="rule depth budget")
-    synth.add_argument("--width", type=int, default=None,
-                       help="template width (default: maximum arity)")
     synth.add_argument("--compartments", type=int, default=1,
                        help="compartment budget: the stages a rule may be "
                             "placed in")

@@ -60,7 +60,6 @@ make_molecule_template = mol_template_correctness = decode_molecule = _stub
 class Budgets:
     rules: int
     depth: int
-    width: Optional[int] = None  # defaults to the alphabet's maximum arity
     height: Optional[int] = None  # defaults to the tallest observed molecule
     compartments: int = 1
 
@@ -83,15 +82,6 @@ class SynthesisJob:
     # perfbench/workloads.py hashes both values into its job fingerprint
     mode = "quantified"
     symmetry = True
-
-    def resolved_width(self) -> int:
-        w = self.budgets.width
-        max_arity = self.dataset.alphabet.max_arity
-        if w is None:
-            return max_arity
-        if w < max_arity:
-            raise ValueError(f"width {w} below the maximum arity {max_arity}")
-        return w
 
     def resolved_height(self) -> int:
         h = self.budgets.height
@@ -151,7 +141,6 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     # `not >` also refuses nan, which would turn the limit off
     if not limits.wall_clock_s > 0:
         raise ValueError(f"wall clock limit {limits.wall_clock_s} is not positive")
-    w = job.resolved_width()
     closure_cfg = job.closure_config()  # validates the height
     started = time.monotonic()
     deadline = started + limits.wall_clock_s
@@ -159,7 +148,8 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     outcome = SynthesisOutcome(status=INCONCLUSIVE)
 
     ctx = EncodingContext(data.alphabet, n, job.variants, compartments=k)
-    templates = make_rule_templates(ctx, d, w, n) if n > 0 else []
+    templates = (make_rule_templates(ctx, d, data.alphabet.max_arity, n)
+                 if n > 0 else [])
     tcons = rule_template_correctness(ctx, templates)
     if n > 1:
         tcons = conj([tcons, symmetry_break(templates)])
@@ -349,7 +339,6 @@ def brute_force_synth(job: SynthesisJob, max_sets: int = 2_000_000
     data = job.dataset
     n = job.budgets.rules
     k = job.budgets.compartments
-    w = job.resolved_width()
     cfg = job.closure_config()
     outcome = SynthesisOutcome(status=NO_RULES)
     if n == 0:
@@ -360,7 +349,7 @@ def brute_force_synth(job: SynthesisJob, max_sets: int = 2_000_000
             )
         return outcome
     candidates = enumerate_rules(
-        data.alphabet, job.budgets.depth, w, k, job.variants
+        data.alphabet, job.budgets.depth, data.alphabet.max_arity, k, job.variants
     )
     checked = 0
     for size in range(1, n + 1):
@@ -393,7 +382,7 @@ def outcome_report(outcome: SynthesisOutcome, job: SynthesisJob) -> str:
     lines.append(f"wall_seconds: {outcome.timings.get('total_s', 0.0):.3f}")
     b = job.budgets
     lines.append(
-        f"budgets: rules={b.rules} depth={b.depth} width={job.resolved_width()}"
+        f"budgets: rules={b.rules} depth={b.depth}"
         f" height={job.resolved_height()} compartments={b.compartments}"
     )
     if outcome.rules is not None:

@@ -587,14 +587,17 @@ def rule_template_correctness(ctx: EncodingContext, templates: list[RuleTemplate
             internal = len(p) < t.depth
             if internal:
                 for m in alphabet:
-                    # 2. slots beyond the label's arity are absent
+                    # 2. slots beyond the label's arity are absent, and carry
+                    # no hard end
                     for i in range(m.arity + 1, t.width + 1):
+                        is_m = enum_is(nu[p], ctx.sugar_member(m.name))
                         parts.append(
-                            implies(
-                                enum_is(nu[p], ctx.sugar_member(m.name)),
-                                enum_is(kappa[p + (i,)], K_ABSENT),
-                            )
+                            implies(is_m, enum_is(kappa[p + (i,)], K_ABSENT))
                         )
+                        if ctx.variants.hard_ends:
+                            parts.append(
+                                implies(is_m, not_(bool_ref(t.hard_end[p + (i,)])))
+                            )
                 for i in range(1, t.width + 1):
                     child = kappa[p + (i,)]
                     # 3. present child forces present parent

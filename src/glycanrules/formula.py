@@ -2,9 +2,9 @@
 
 Three sorts: Boolean, bounded integer, and enumeration.  Connectives fold
 constants at construction time, so a formula built against concrete inputs
-partially evaluates for free.  Nodes use identity equality; sharing a subterm
-object shares it in the emitted text (the backend emits `let` bindings for
-reused nodes).
+partially evaluates for free.  Nodes use identity equality.  Sharing a
+subterm object saves building it again; the backend writes it out at each use,
+and the solver maps equal terms to one literal.
 """
 
 from __future__ import annotations

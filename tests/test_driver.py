@@ -209,8 +209,6 @@ def test_per_iteration_times_every_query(motivating, monkeypatch, budgets, limit
 def test_budget_validation():
     data = dataset("sugar A 2; sugar B 0; mol A(B, _)")
     with pytest.raises(ValueError):
-        SynthesisJob(data, Budgets(rules=1, depth=2, width=1)).resolved_width()
-    with pytest.raises(ValueError):
         SynthesisJob(data, Budgets(rules=1, depth=2, height=0)).resolved_height()
 
 

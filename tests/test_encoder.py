@@ -286,6 +286,19 @@ def test_hard_end_encoding_matches_oracle():
         assert check_produce(ctx, mol, sides) == expected, text
 
 
+def test_hard_end_cannot_sit_beyond_its_parents_arity():
+    """A slot past the parent label's arity is absent, so it carries no hard
+    end; a model that put one there would fail to decode."""
+    ctx = EncodingContext(AB2, 1, Variants(hard_ends=True))
+    (t,) = make_rule_templates(ctx, 2, 2, 1)
+    res, _ = solve([
+        rule_template_correctness(ctx, [t]),
+        enum_is(t.sugar[()], ctx.sugar_member("B")),
+        bool_ref(t.hard_end[(2,)]),
+    ])
+    assert res == "unsat"
+
+
 def test_fast_dominance_encoding_matches_oracle():
     alphabet = MonomerAlphabet([("A", 1), ("B", 0), ("C", 0)])
     slow = parse_rule("A(*C)", alphabet)

@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import pathlib
 import random
@@ -40,6 +41,8 @@ from glycanrules.formula import (
     not_,
     substitute,
 )
+from glycanrules.minismt.__main__ import serve
+from glycanrules.minismt.sexpr import parse_all
 
 COLOR = EnumSort("Color", ("Red", "Green", "Blue"))
 
@@ -141,7 +144,9 @@ def test_assert_declares_the_free_variables_it_writes(tmp_path):
         )
         assert session.check_sat() == "sat"
         commands = list(session.commands)
-    assert "(let ((l0 (not (= " in commands[-2]
+    # the shared node is written at each use, and nothing is let-bound
+    assert commands[-2].count(f"(not (= {c.name} Red))") == 2
+    assert "(let" not in commands[-2]
     declared = [cmd.split()[1] for cmd in commands if cmd.startswith("(declare-fun")]
     assert declared == [b.name, y.name, c.name]
 
@@ -380,12 +385,60 @@ def test_emission_is_deterministic(tmp_path):
         with Session(cfg) as s:
             s.assert_formula(f)
             s.check_sat("probe")
-        return (dump / "probe.smt2").read_text()
+        return (dump / "probe.smt2").read_text(), _Emitter().emit(shared)
 
-    a = emit_once(tmp_path / "a")
-    b = emit_once(tmp_path / "b")
+    a, shared_text = emit_once(tmp_path / "a")
+    b, _ = emit_once(tmp_path / "b")
     assert a == b
-    assert "(let ((l0 " in a  # the shared node went through a let
+    # the shared node is written at each use, and nothing is let-bound
+    assert a.count(shared_text) == 2
+    assert "(let" not in a
+
+
+def test_shared_subterm_solves_like_its_tree_built_copy(tmp_path):
+    """A node reused by identity and a copy built at each use give the same
+    answer and the same solver work: the solver maps equal terms to one
+    literal, so sharing in the text would only save bytes."""
+    def transcript(share):
+        b, c, x, y = make_vars()
+
+        def node():
+            return conj([int_lt(x, y), not_(enum_is(c, "Red"))])
+
+        first = node()
+        second, third = (first, first) if share else (node(), node())
+        f = conj([
+            disj([first, bool_ref(b)]),
+            implies(second, int_le(x, 2)),
+            iff(third, not_(bool_ref(b))),
+        ])
+        dump = tmp_path / ("shared" if share else "tree")
+        with Session(SolverConfig(dump_dir=str(dump))) as s:
+            s.assert_formula(f)
+            assert s.check_sat("probe") == "sat"
+        return (dump / "probe.smt2").read_text(), _Emitter().emit(first)
+
+    def replay(script):
+        out = io.StringIO()
+        serve(io.StringIO(script + "(get-info :all-statistics)\n(exit)\n"), out)
+        lines = out.getvalue().splitlines()
+        (answer,) = [ln for ln in lines if ln in ("sat", "unsat")]
+        (stats,) = [ln for ln in lines if ln.startswith("(:")]
+        return answer, parse_all(stats)[0]
+
+    shared, node_text = transcript(share=True)
+    tree, _ = transcript(share=False)
+    assert shared == tree
+    assert shared.count(node_text) == 3
+    answer, stats = replay(shared)
+    assert answer == "sat"
+    # the same node bound once by a let lowers to the same clauses
+    head, _, rest = shared.rpartition("(assert ")
+    body, _, tail = rest.partition("\n")
+    let_bound = (f"{head}(assert (let ((l0 {node_text})) "
+                 f"{body.replace(node_text, 'l0')[:-1]}))\n{tail}")
+    assert let_bound.count(node_text) == 1
+    assert replay(let_bound) == (answer, stats)
 
 
 def test_transcript_replays_with_same_answers(tmp_path):
