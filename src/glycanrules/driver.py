@@ -148,11 +148,9 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
     outcome = SynthesisOutcome(status=INCONCLUSIVE)
 
     ctx = EncodingContext(data.alphabet, n, job.variants, compartments=k)
-    templates = (make_rule_templates(ctx, d, data.alphabet.max_arity, n)
-                 if n > 0 else [])
-    tcons = rule_template_correctness(ctx, templates)
-    if n > 1:
-        tcons = conj([tcons, symmetry_break(templates)])
+    templates = make_rule_templates(ctx, d, data.alphabet.max_arity, n)
+    tcons = conj([rule_template_correctness(ctx, templates),
+                  symmetry_break(templates)])
 
     template_vars = [v for t in templates for v in t.all_vars()]
     seen_counterexamples: set[str] = set()
@@ -188,7 +186,7 @@ def synthesize(job: SynthesisJob) -> SynthesisOutcome:
                     outcome.warnings.append("synthesis query returned unknown")
                 break
             model = synth.get_model(template_vars)
-            rules = decode_rules(ctx, model, templates) if n > 0 else RuleSet(())
+            rules = decode_rules(ctx, model, templates)
 
             t1 = time.monotonic()
             found = None

@@ -11,6 +11,19 @@ encodes the observed molecules and the counterexamples
 Node situations inside a rule tree: `KMatchAns` on the path from the root to
 the parent of the expansion root, `KExpand` on the added part, `KMatch` for
 side pattern, `KAbsent` for unused template positions.
+
+`ProduceEncoder.encode_p` is the one place a rule's ancestor path and side
+pattern are matched against a molecule.  It matches them at a *mark*, one of
+three:
+
+- the step's own timestamp, when the rule produces a piece of the molecule;
+- another step's time, when the fast/slow dominance guard asks whether a fast
+  rule could have extended the molecule as it stood then;
+- `FINISHED`, when the fast escape of a rejected stuck prefix asks whether a
+  fast rule can extend the finished molecule.  Every node is present then,
+  and a position is empty exactly when the molecule has no node there.
+
+`ProduceEncoder.applicable` asks the last two questions over every empty slot.
 """
 
 from __future__ import annotations
@@ -59,6 +72,8 @@ K_MATCH_ANS = "KMatchAns"
 K_MATCH = "KMatch"
 SITUATIONS = (K_EXPAND, K_ABSENT, K_MATCH_ANS, K_MATCH)
 NONE_SUGAR = "SugNone"
+# the mark of the finished molecule (see the module docstring)
+FINISHED = object()
 
 
 class DecodeError(RuntimeError):
@@ -349,8 +364,11 @@ class ProduceEncoder:
 
         The positive (matching) occurrences use the linearized form, which is
         complete up to reordering of independent steps; negative occurrences
-        (dominance) need the exact stage-consistent disjunction.
+        (dominance) need the exact stage-consistent disjunction.  Every node
+        is present at FINISHED.
         """
+        if mark is FINISHED:
+            return TRUE
         if self.k > 1 and stage_exact:
             comp = self.prod.comp[path]
             return disj(
@@ -383,9 +401,12 @@ class ProduceEncoder:
         return conj(parts)
 
     def _empty_at(self, path: Path, mark, rule: RuleSide) -> Formula:
-        """The position is unoccupied at the stage-consistent time `mark`."""
+        """The position is unoccupied at the stage-consistent time `mark`;
+        at FINISHED, exactly when the molecule has no node there."""
         if not self.mol.exists(path):
             return TRUE
+        if mark is FINISHED:
+            return FALSE
         later = not_(int_lt(self.prod.tau[path], mark))
         if self.k > 1:
             comp = self.prod.comp[path]
@@ -450,10 +471,17 @@ class ProduceEncoder:
     def encode_p(self, vpath: Path, rule: RuleSide, ell: int,
                  block_at=None) -> Formula:
         """Rule applied with its expansion root landing at `vpath`, the rule
-        root aligned `ell` levels up.  Given a time `block_at`, it is the
-        applicability-only variant used for fast/slow dominance: the pattern
-        is matched, stage-exactly, against the molecule as it stood at that
-        time, and the expansion content and cut pattern are not analyzed."""
+        root aligned `ell` levels up.  The mark the pattern is matched at is
+        one of three:
+
+        - no `block_at`: the step's own timestamp `tau[vpath]`; the expansion
+          content must be the piece of that step and the cuts its boundary;
+        - `block_at` another step's time: applicability only, for fast/slow
+          dominance; the pattern is matched, stage-exactly, against the
+          molecule as it stood at that time, and the expansion content and
+          cut pattern are not analyzed;
+        - `block_at=FINISHED`: applicability only, against the finished
+          molecule, for the fast escape of a rejected stuck prefix."""
         if len(vpath) < ell:
             return FALSE
         stage_exact = block_at is not None
@@ -483,36 +511,44 @@ class ProduceEncoder:
             parts.append(self.match_tree(vpath, rule, rpos, mark, True))
             parts.append(self.match_cut(vpath, rule, rpos, FALSE))
             if self.ctx.variants.fast_slow:
-                parts.append(self._dominance_guard(vpath, rule, mark))
+                parts.append(self._dominance_guard(rule, mark))
         return conj(parts)
 
-    # -- fast/slow dominance --
+    # -- fast/slow applicability and dominance --
 
-    def _dominance_guard(self, vpath: Path, rule: RuleSide, mark) -> Formula:
+    def applicable(self, other: RuleSide, mark,
+                   rule: Optional[RuleSide] = None) -> Formula:
+        """`other` can extend the molecule as it stands at `mark`: some
+        child slot empty then admits its pattern.  `rule` is the slow rule
+        stamped `mark`, whose compartment `other` must share; at FINISHED
+        there is none."""
+        sites = []
+        for p in self.mol.paths:
+            for slot in range(1, self.mol.slots(p) + 1):
+                site = p + (slot,)
+                empty = self._empty_at(site, mark, rule)
+                if empty is FALSE:
+                    continue
+                for ell in other.ell_range():
+                    pattern = self.encode_p(site, other, ell, block_at=mark)
+                    if pattern is FALSE:
+                        continue
+                    cond = [pattern, empty]
+                    if rule is not None and self.k > 1:
+                        cond.append(
+                            int_eq(other.compartment_op(), rule.compartment_op())
+                        )
+                    sites.append(conj(cond))
+        return disj(sites)
+
+    def _dominance_guard(self, rule: RuleSide, mark) -> Formula:
         """A slow application is legal only when no fast rule of the same
         compartment could extend the molecule state at time `mark`."""
-        blockers = []
-        for other in self.rules:
-            fast = other.fast_f()
-            if fast is FALSE:
-                continue
-            sites = []
-            for p in self.mol.paths:
-                for slot in range(1, self.mol.slots(p) + 1):
-                    site = p + (slot,)
-                    for ell in other.ell_range():
-                        pattern = self.encode_p(site, other, ell, block_at=mark)
-                        if pattern is FALSE:
-                            continue
-                        cond = [pattern, self._empty_at(site, mark, rule)]
-                        if self.k > 1:
-                            cond.append(
-                                int_eq(other.compartment_op(), rule.compartment_op())
-                            )
-                        sites.append(conj(cond))
-            blockers.append(implies(fast, not_(disj(sites))))
-        if not blockers:
-            return TRUE
+        blockers = [
+            implies(other.fast_f(), not_(self.applicable(other, mark, rule)))
+            for other in self.rules
+            if other.fast_f() is not FALSE
+        ]
         return implies(not_(rule.fast_f()), conj(blockers))
 
     # -- EncodeProduce --
@@ -652,73 +688,6 @@ def rule_template_correctness(ctx: EncodingContext, templates: list[RuleTemplate
 
 
 # --------------------------------------------------------------------------
-# fast/slow: applicability of a template rule to a concrete molecule
-# --------------------------------------------------------------------------
-
-
-def template_rule_applicable(ctx: EncodingContext, t: RuleTemplate,
-                             mol: Molecule) -> Formula:
-    """Some empty slot of `mol` admits an application of template `t`
-    (static: the molecule is a finished value, no timestamps involved)."""
-    sites = []
-    for p, node in sorted(mol.positions()):
-        for slot in range(1, len(node.children) + 1):
-            if node.children[slot - 1] is not None:
-                continue
-            site = p + (slot,)
-            for ell in t.ell_range():
-                if len(site) < ell:
-                    continue
-                parts = []
-                rpos: Path = ()
-                ok = True
-                for i in range(ell, 0, -1):
-                    apath = site[: len(site) - i]
-                    anode = mol.node_at(apath)
-                    parts.append(t.kappa_is(rpos, K_MATCH_ANS))
-                    parts.append(
-                        enum_is(t.label_op(rpos), ctx.sugar_member(anode.label))
-                    )
-                    next_slot = site[len(site) - i]
-                    for j in range(1, len(anode.children) + 1):
-                        if j == next_slot:
-                            continue
-                        parts.extend(
-                            _static_match(ctx, t, rpos + (j,), mol, apath + (j,))
-                        )
-                    rpos = rpos + (next_slot,)
-                    if not t.exists(rpos):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                parts.append(t.kappa_is(rpos, K_EXPAND))
-                sites.append(conj(parts))
-    return disj(sites)
-
-
-def _static_match(ctx, t: RuleTemplate, rpath: Path, mol: Molecule,
-                  mpath: Path) -> list[Formula]:
-    if not t.exists(rpath):
-        return []
-    node = mol.node_at(mpath)
-    if node is None:
-        # an absent molecule slot satisfies any hard end
-        return [t.kappa_is(rpath, K_ABSENT)]
-    out = [
-        implies(
-            not_(t.kappa_is(rpath, K_ABSENT)),
-            enum_is(t.label_op(rpath), ctx.sugar_member(node.label)),
-        )
-    ]
-    if ctx.variants.hard_ends:
-        out.append(not_(t.hard_end_f(rpath)))  # occupied position: no hard end
-    for i in range(1, max(len(node.children), t.child_slots(rpath)) + 1):
-        out.extend(_static_match(ctx, t, rpath + (i,), mol, mpath + (i,)))
-    return out
-
-
-# --------------------------------------------------------------------------
 # symmetry breaking
 # --------------------------------------------------------------------------
 
@@ -855,21 +824,16 @@ def negative_constraint(ctx: EncodingContext, templates: list[RuleTemplate],
     unproducible.  The condition is threaded through an auxiliary Boolean so
     the universal stays in a directly assertable position.
     """
-    mol_side = ConcreteMoleculeSide(ctx, molecule)
-    rule_sides = list(templates)
-    body, prod = encode_produce(ctx, mol_side, rule_sides)
+    encoder = ProduceEncoder(ctx, ConcreteMoleculeSide(ctx, molecule), templates)
+    body, prod = encoder.encode(), encoder.prod
     quantified = forall(prod.all_vars(), not_(body))
     instance = TRUE
     if steps is not None:
         instance = not_(substitute(body, derivation_binding(prod, rules, steps)))
     helper = None
     if fast_escape:
-        escape = disj(
-            [
-                conj([t.fast_f(), template_rule_applicable(ctx, t, molecule)])
-                for t in templates
-            ]
-        )
+        escape = disj([conj([t.fast_f(), encoder.applicable(t, FINISHED)])
+                       for t in templates])
         gate = ctx.registry.make("nc_gate", BOOL)
         helper = disj([escape, bool_ref(gate)])
         quantified = forall(

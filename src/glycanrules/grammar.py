@@ -12,6 +12,7 @@ The slot count of a parenthesised node must equal the declared arity; a bare
 leaf omits parentheses.  Rule files reuse the tree grammar with one node
 prefixed by "*" (the expand root), "!" for empty slots that must stay empty at
 application time, and optional trailing "@comp=<int>" / "@fast" attributes.
+Arities and compartment numbers are ASCII numerals, `[0-9]+`.
 """
 
 from __future__ import annotations
@@ -77,9 +78,11 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        # str.isdigit() would also take "²" and "١", which int() refuses or
+        # reads as a digit
+        if "0" <= ch <= "9":
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(_Token("int", text[start:i], line, col))
             col += i - start

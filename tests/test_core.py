@@ -70,6 +70,17 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("parse, text, col", [
+    (parse_dataset, "sugar A \u0661; mol A", 9),  # Arabic-Indic one
+    (parse_dataset, "sugar A \u00b2", 9),  # superscript two
+    (lambda text: parse_rule(text, ALPHABET), "B(C(*D)) @comp=\u00b2", 16),
+], ids=["arabic-indic-arity", "superscript-arity", "superscript-compartment"])
+def test_numerals_are_ascii_digits(parse, text, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_molecule_roundtrip(motivating):
     for m in motivating.molecules:
         assert parse_molecule(serialize_molecule(m), motivating.alphabet) == m

@@ -10,10 +10,12 @@ from glycanrules.encoder import (
     ConcreteMoleculeSide,
     ConcreteRuleSide,
     EncodingContext,
+    FINISHED,
     K_ABSENT,
     K_EXPAND,
     K_MATCH,
     K_MATCH_ANS,
+    ProduceEncoder,
     RuleTemplate,
     Variants,
     decode_rules,
@@ -22,7 +24,6 @@ from glycanrules.encoder import (
     negative_constraint,
     rule_template_correctness,
     symmetry_break,
-    template_rule_applicable,
 )
 from glycanrules.formula import (
     bool_ref,
@@ -343,9 +344,15 @@ def test_template_rule_applicable_static():
     applicable_to = parse_molecule("A(_, C)", alphabet)
     not_applicable = parse_molecule("A(B, C)", alphabet)
     pins = pin_rule(ctx, t, rule)
-    res, _ = solve([tcons, pins, template_rule_applicable(ctx, t, applicable_to)])
+
+    def applicable(mol):
+        return ProduceEncoder(ctx, ConcreteMoleculeSide(ctx, mol), [t]).applicable(
+            t, FINISHED
+        )
+
+    res, _ = solve([tcons, pins, applicable(applicable_to)])
     assert res == "sat"
-    res, _ = solve([tcons, pins, template_rule_applicable(ctx, t, not_applicable)])
+    res, _ = solve([tcons, pins, applicable(not_applicable)])
     assert res == "unsat"
 
 

@@ -7,6 +7,7 @@ over two-rule sets) and the edge semantics around it.
 
 import pytest
 
+from glycanrules import driver
 from glycanrules.core import Rule, RuleSet
 from glycanrules.driver import (
     Budgets,
@@ -14,6 +15,7 @@ from glycanrules.driver import (
     NO_RULES,
     SYNTHESIZED,
     SynthesisJob,
+    brute_force_synth,
     synthesize,
 )
 from glycanrules.encoder import Variants
@@ -67,6 +69,33 @@ def test_fastslow_prefix_rule_in_verification(motivating, motivating_rules):
     )
     report = verify(all_fast, data, ClosureConfig(4, fast_slow=True))
     assert report.passed
+
+
+@pytest.mark.parametrize("text", [
+    "sugar A 1; sugar B 1; mol B(A(B)); mol A; mol A(B)",
+    "sugar A 2; sugar B 0; mol A(A(A, B), A(A, _))",
+    # rejecting the stuck prefix A(A) outright leaves no rule set
+    "sugar A 1; sugar B 0; mol A(A(A(A(_)))); mol B",
+], ids=["unary", "binary", "escape-needed"])
+def test_fast_escape_agrees_with_brute_force(text, monkeypatch):
+    """A counterexample that is a stuck rooted prefix of an observed molecule
+    is rejected only unless some fast rule extends it; on these data sets
+    that escape fires, and the loop still reaches the exhaustive verdict."""
+    escapes = []
+    negative_constraint = driver.negative_constraint
+
+    def counting(*args, **kwargs):
+        nc = negative_constraint(*args, **kwargs)
+        escapes.append(nc.helper is not None)  # set only under fast_escape
+        return nc
+
+    monkeypatch.setattr(driver, "negative_constraint", counting)
+    job = SynthesisJob(parse_dataset(text), Budgets(rules=2, depth=2),
+                       variants=Variants(fast_slow=True))
+    outcome = synthesize(job)
+    assert any(escapes)
+    assert outcome.status == brute_force_synth(job).status == SYNTHESIZED
+    assert outcome.verification.passed
 
 
 def test_variants_off_by_default():
