@@ -15,7 +15,7 @@ import signal
 import sys
 import tempfile
 
-from .backend import BackendError, default_solver_config
+from .backend import BackendError, SolverConfig, default_solver_config
 from .core import ModelError, RuleSet
 from .driver import (
     Budgets,
@@ -183,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     verdict_flags(synth)
     synth.add_argument("--hard-ends", action="store_true")
     synth.add_argument("--solver", default=None, help="SMT solver executable")
-    synth.add_argument("--timeout", type=int, default=600_000,
+    synth.add_argument("--timeout", type=int, default=SolverConfig().timeout_ms,
                        help="per-query solver timeout in milliseconds")
-    synth.add_argument("--max-iters", type=int, default=1000)
-    synth.add_argument("--wall-clock", type=float, default=600.0,
+    synth.add_argument("--max-iters", type=int, default=Limits().max_iterations)
+    synth.add_argument("--wall-clock", type=float, default=Limits().wall_clock_s,
                        help="overall time limit in seconds")
     synth.add_argument("--dot", default=None, help="directory for DOT renderings")
     synth.add_argument("--dump-smt", default=None,

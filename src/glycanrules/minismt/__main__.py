@@ -8,14 +8,19 @@ Assertions only accumulate; there is no push, pop or reset.  Besides those,
 (`Engine.statistics`), and get-info of any other key gets the solver's name.
 Every other command answers `(error "unsupported command ...")`.
 
-One process serves one session on stdin/stdout.
+An assertion goes to `Engine.assert_term` as parsed, with no copy: the
+engine expands a `let` where it meets one and lowers every term through its
+one term-to-literal table, `Engine.lowered`.  One process serves one session
+on stdin/stdout.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .engine import Engine, SolverError
+# `expand_lets` stays importable from here, where perfbench/spans.py patches
+# it and the tests import it; the engine calls its own
+from .engine import Engine, SolverError, expand_lets  # noqa: F401
 from .sexpr import Reader, SexprError
 
 
@@ -62,8 +67,7 @@ class Session:
                 self.engine.declare_fun(name, sort)
                 self.success()
             elif head == "assert":
-                term = expand_lets(form[1], {})
-                self.engine.assert_term(term)
+                self.engine.assert_term(form[1])
                 self.success()
             elif head == "check-sat":
                 self.reply(self.engine.check_sat(self.timeout_ms))
@@ -102,6 +106,11 @@ class Session:
     def _declare_datatypes(self, form):
         # (declare-datatypes ((Name 0)) (((c1) (c2) ...)))
         sort_decls, ctor_lists = form[1], form[2]
+        if len(sort_decls) != len(ctor_lists):
+            raise SolverError(
+                f"declare-datatypes names {len(sort_decls)} sorts but gives"
+                f" {len(ctor_lists)} constructor lists"
+            )
         for (name, arity), ctors in zip(sort_decls, ctor_lists):
             if arity != 0:
                 raise SolverError("parametric datatypes unsupported")
@@ -111,22 +120,6 @@ class Session:
                     raise SolverError("only enumeration constructors supported")
                 members.append(ctor[0])
             self.engine.declare_enum(name, members)
-
-
-def expand_lets(term, env):
-    if isinstance(term, str):
-        return env.get(term, term)
-    if not isinstance(term, tuple):
-        return term
-    if term and term[0] == "let":
-        bindings = term[1]
-        inner = dict(env)
-        for name, value in bindings:
-            inner[name] = expand_lets(value, env)
-        return expand_lets(term[2], inner)
-    if term and term[0] == '"':
-        return term
-    return tuple([expand_lets(t, env) for t in term])
 
 
 def serve(inp, out) -> int:

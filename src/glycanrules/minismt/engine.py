@@ -9,11 +9,17 @@ That is all the client's emitter writes; any other operator is an error.
 Ground formulas are lowered to CNF over an incremental CDCL core: enums
 one-hot, integers order-encoded, and each compound subterm a literal with a
 full biconditional (Tseitin) definition, usable in either polarity.  One
-table per engine, `Engine.lowered`, maps each term structure to its literal,
-so a subterm that recurs, in one assertion, a later one or an MBQI instance,
-is defined once; each sub-engine keeps a table of its own.  Universals are
-checked model-by-model (MBQI): each candidate model is tested against every
-universal by a dedicated sub-engine solving for a violating
+table per engine, `Engine.lowered`, maps each term (Bool name, `true`,
+`false`, atom or compound) to its literal, so a subterm that recurs, in one
+assertion, a later one or an MBQI instance, is defined once; each sub-engine
+keeps a table of its own.  Two spellings of one atom share a literal:
+`(<= a b)` is lowered as `(not (< b a))`, `(= 3 x)` as `(= x 3)`, and an
+enum `(= b a)` reuses the literal of `(= a b)`.  Assertions are lowered as
+parsed: a `let` is expanded where one occurs, at the top of an assertion,
+below it in `_define`, or in a universal's body when it is stored.
+
+Universals are checked model-by-model (MBQI): each candidate model is tested
+against every universal by a dedicated sub-engine solving for a violating
 instantiation.  One round lowers the instances of all the witnesses found,
 adds their clauses to the model with `Solver.add_model_clauses`, and resumes
 the search from the trail they leave standing; rounds repeat until no
@@ -60,9 +66,8 @@ class Engine:
         self.int_bounds: dict[str, tuple] = {}
         self.enum_bits: dict[tuple, int] = {}
         self.order_bits: dict[tuple, int] = {}
-        self.bool_vars: dict[str, int] = {}
-        self.aux: dict[tuple, int] = {}
-        self.lowered: dict[tuple, int] = {}  # term -> its literal
+        true = self.sat.true_lit
+        self.lowered: dict = {"true": true, "false": neg(true)}  # term -> literal
         self.universals: list[Universal] = []
         self.model_vals: list | None = None
         self.mbqi_rounds = 0
@@ -100,13 +105,6 @@ class Engine:
         raise SolverError("order clusters are not supported")
 
     # ------------- variable encodings -------------
-
-    def _bool_lit(self, name: str) -> int:
-        v = self.bool_vars.get(name)
-        if v is None:
-            v = self.sat.new_var()
-            self.bool_vars[name] = v
-        return 2 * v
 
     def _enum_bit(self, name: str, member: str) -> int:
         key = (name, member)
@@ -181,13 +179,7 @@ class Engine:
             return neg(self._order_bit(b, a))
         if isinstance(b, int):
             return self._order_bit(a, b - 1)
-        key = ("<", a, b)
-        lit = self.aux.get(key)
-        if lit is not None:
-            return lit
-        v = self.sat.new_var()
-        lit = 2 * v
-        self.aux[key] = lit
+        lit = 2 * self.sat.new_var()
         la, ha = self.int_bounds[a]
         lb, hb = self.int_bounds[b]
         for k in range(lb, hb + 1):
@@ -211,13 +203,7 @@ class Engine:
             return lo_side
         if lo_side == self.sat.true_lit:
             return hi_side
-        key = ("=", name, c)
-        lit = self.aux.get(key)
-        if lit is not None:
-            return lit
-        v = self.sat.new_var()
-        lit = 2 * v
-        self.aux[key] = lit
+        lit = 2 * self.sat.new_var()
         self.add_clause([neg(lit), hi_side])
         self.add_clause([neg(lit), lo_side])
         self.add_clause([lit, neg(hi_side), neg(lo_side)])
@@ -241,13 +227,10 @@ class Engine:
             raise SolverError(f"enum sort mismatch: {a} vs {b}")
         if a == b:
             return self.sat.true_lit
-        key = ("=", *sorted((a, b)))
-        lit = self.aux.get(key)
+        lit = self.lowered.get(("=", b, a))
         if lit is not None:
             return lit
-        v = self.sat.new_var()
-        lit = 2 * v
-        self.aux[key] = lit
+        lit = 2 * self.sat.new_var()
         members = self.enums[self.decls[a][1]]
         diff_lits = [lit]
         for m in members:
@@ -268,29 +251,27 @@ class Engine:
         """Literal equisatisfiably representing `term` (full biconditional
         definitions, so the literal is usable in any polarity).
 
-        Lowered once per distinct term: `self.lowered` maps each term
-        structure to its literal.
+        `self.lowered` is the one map from a term to its literal, so each
+        distinct term is defined once, by `_define`.
         """
-        if isinstance(term, str):
-            if term == "true":
-                return self.sat.true_lit
-            if term == "false":
-                return neg(self.sat.true_lit)
-            d = self.decls.get(term)
-            if d == BOOL:
-                return self._bool_lit(term)
-            raise SolverError(f"unknown boolean symbol {term!r}")
-        if not isinstance(term, tuple):
-            raise SolverError(f"unexpected term {term!r}")
         lit = self.lowered.get(term)
         if lit is None:
             lit = self.lowered[term] = self._define(term)
         return lit
 
     def _define(self, term) -> int:
-        """Literal of the compound `term`, after adding its definition."""
+        """Literal of `term`, a Bool name or a compound term, after adding
+        its definition; a `let` is expanded here."""
+        if isinstance(term, str):
+            if self.decls.get(term) == BOOL:
+                return 2 * self.sat.new_var()
+            raise SolverError(f"unknown boolean symbol {term!r}")
+        if not isinstance(term, tuple):
+            raise SolverError(f"unexpected term {term!r}")
         head = term[0]
-        if head == "not":
+        if head == "let":
+            lit = self._lower(expand_lets(term, {}))
+        elif head == "not":
             lit = neg(self._lower(term[1]))
         elif head in ("and", "or"):
             args = [self._lower(t) for t in term[1:]]
@@ -330,25 +311,28 @@ class Engine:
         elif head == "<":
             lit = self._atom_int_lt(term[1], term[2])
         elif head == "<=":
-            lit = neg(self._atom_int_lt(term[2], term[1]))
+            lit = neg(self._lower(("<", term[2], term[1])))
         elif head == "=":
             a, b = term[1], term[2]
-            if self._is_int_operand(a) and self._is_int_operand(b):
+            int_a, int_b = self._is_int_operand(a), self._is_int_operand(b)
+            enum_a, enum_b = self._is_enum_operand(a), self._is_enum_operand(b)
+            if int_a and int_b:
                 if isinstance(a, int) and isinstance(b, int):
                     lit = self.sat.true_lit if a == b else neg(self.sat.true_lit)
                 elif isinstance(a, int):
-                    lit = self._atom_int_eq_const(b, a)
+                    lit = self._lower(("=", b, a))
                 elif isinstance(b, int):
                     lit = self._atom_int_eq_const(a, b)
                 else:
-                    both = (
-                        "and",
-                        ("<=", a, b),
-                        ("<=", b, a),
-                    )
-                    lit = self._lower(both)
-            elif self._is_enum_operand(a) and self._is_enum_operand(b):
+                    lit = self._lower(("and", ("<=", a, b), ("<=", b, a)))
+            elif enum_a and enum_b:
                 lit = self._atom_enum_eq(a, b)
+            elif int_a or int_b or enum_a or enum_b:
+                typed, odd = (a, b) if int_a or enum_a else (b, a)
+                raise SolverError(
+                    f"sort mismatch in {show(term)}: {show(odd)!r} does not have"
+                    f" the sort of {show(typed)!r}"
+                )
             else:
                 # boolean equivalence
                 la = self._lower(a)
@@ -372,23 +356,15 @@ class Engine:
 
     def _try_range_pattern(self, term) -> bool:
         """Recognize (and (<= lo v) (<= v hi)) and record the bounds."""
-        if not (isinstance(term, tuple) and len(term) == 3 and term[0] == "and"):
+        if not (isinstance(term, tuple) and len(term) == 3):
             return False
-        low, high = term[1], term[2]
-        if not (
-            isinstance(low, tuple) and len(low) == 3 and low[0] == "<="
-            and isinstance(high, tuple) and len(high) == 3 and high[0] == "<="
-        ):
+        low, high = range_atom(term[1]), range_atom(term[2])
+        if not (low and high and low[1] == 0 and high[1] == 1 and low[0] == high[0]):
             return False
-        if not (
-            isinstance(low[1], int) and isinstance(low[2], str)
-            and isinstance(high[2], int) and high[1] == low[2]
-        ):
-            return False
-        name = low[2]
+        name = low[0]
         if self.decls.get(name) != INT:
             return False
-        lo, hi = low[1], high[2]
+        lo, hi = low[2], high[2]
         if lo > hi:
             raise SolverError(f"empty range for {name}")
         known = self.int_bounds.get(name)
@@ -399,64 +375,51 @@ class Engine:
             return True
         return False  # a genuinely different constraint: lower it normally
 
-    def assert_term(self, term, _split_ok=True):
-        if isinstance(term, tuple) and term and term[0] == "forall":
+    def assert_term(self, term):
+        """Assert `term` as parsed.  A universal is kept for MBQI, a range
+        records an Int's bounds, a conjunction is asserted conjunct by
+        conjunct, and a `let` at the top is expanded first."""
+        head = term[0] if isinstance(term, tuple) and term else None
+        if head == "let":
+            self.assert_term(expand_lets(term, {}))
+        elif head == "forall":
             self._assert_forall(term)
-            return
-        if self._try_range_pattern(term):
-            return
-        if _split_ok and isinstance(term, tuple) and term and term[0] == "and":
-            for sub in term[1:]:
-                self.assert_term(sub)
-            return
-        self.sat.add_clause([self._lower(term)])
+        elif head == "and":
+            if not self._try_range_pattern(term):
+                for sub in term[1:]:
+                    self.assert_term(sub)
+        else:
+            self.sat.add_clause([self._lower(term)])
 
     def _assert_forall(self, term):
-        binders = term[1]
-        body = term[2]
+        # expanded now, or `substitute` would rename a `let` binder that
+        # shadows a bound variable
+        body = expand_lets(term[2], {})
+        if not (isinstance(body, tuple) and len(body) == 3 and body[0] == "=>"):
+            raise SolverError("forall body must be (=> <range-guard> <body>)")
+        guard, real = body[1], body[2]
+        ranges = {}
+        for g in guard[1:] if isinstance(guard, tuple) and guard[0] == "and" else [guard]:
+            atom = range_atom(g)
+            if atom is not None:
+                name, side, c = atom
+                ranges.setdefault(name, [None, None])[side] = c
+            elif g != "true":
+                raise SolverError("forall guard may only contain range atoms")
         bounds = []
-        for b in binders:
-            name, sort = b
+        for name, sort in term[1]:
             if sort == "Bool":
                 bounds.append((name, BOOL, None))
             elif sort == "Int":
-                bounds.append((name, INT, None))
+                lo, hi = ranges.get(name, (None, None))
+                if lo is None or hi is None:
+                    raise SolverError(f"bound int {name} lacks a range guard")
+                bounds.append((name, INT, (lo, hi)))
             elif isinstance(sort, str) and sort in self.enums:
                 bounds.append((name, ("Enum", sort), None))
             else:
                 raise SolverError(f"unsupported bound sort {sort!r}")
-        if not (isinstance(body, tuple) and len(body) == 3 and body[0] == "=>"):
-            raise SolverError("forall body must be (=> <range-guard> <body>)")
-        guard, real = body[1], body[2]
-        guard_conjuncts = (
-            list(guard[1:]) if isinstance(guard, tuple) and guard[0] == "and" else [guard]
-        )
-        ranges = {}
-        for g in guard_conjuncts:
-            if (
-                isinstance(g, tuple) and len(g) == 3 and g[0] == "<="
-                and isinstance(g[1], int) and isinstance(g[2], str)
-            ):
-                ranges.setdefault(g[2], [None, None])[0] = g[1]
-            elif (
-                isinstance(g, tuple) and len(g) == 3 and g[0] == "<="
-                and isinstance(g[1], str) and isinstance(g[2], int)
-            ):
-                ranges.setdefault(g[1], [None, None])[1] = g[2]
-            elif g == "true":
-                pass
-            else:
-                raise SolverError("forall guard may only contain range atoms")
-        resolved = []
-        for name, sort, _ in bounds:
-            if sort == INT:
-                lo_hi = ranges.get(name)
-                if lo_hi is None or lo_hi[0] is None or lo_hi[1] is None:
-                    raise SolverError(f"bound int {name} lacks a range guard")
-                resolved.append((name, sort, (lo_hi[0], lo_hi[1])))
-            else:
-                resolved.append((name, sort, None))
-        self.universals.append(Universal(resolved, guard, real))
+        self.universals.append(Universal(bounds, guard, real))
 
     # ------------- solving -------------
 
@@ -565,7 +528,7 @@ class Engine:
     def _value_assumptions(self, name, val):
         d = self.decls[name]
         if d == BOOL:
-            lit = self._bool_lit(name)
+            lit = self._lower(name)
             return [lit if val == "true" else neg(lit)]
         if d == INT:
             lits = []
@@ -585,10 +548,8 @@ class Engine:
         if d is None:
             raise SolverError(f"unknown symbol {name!r}")
         if d == BOOL:
-            v = self.bool_vars.get(name)
-            if v is None:
-                return "false"
-            return "true" if snapshot[2 * v] == 1 else "false"
+            lit = self.lowered.get(name)
+            return "true" if lit is not None and snapshot[lit] == 1 else "false"
         if d == INT:
             self._require_bounds(name)
             lo, hi = self.int_bounds[name]
@@ -633,6 +594,42 @@ class Engine:
         if self.model_vals is None:
             raise SolverError("no model available")
         return [(n, self._value_from(self.model_vals, n)) for n in names]
+
+
+def range_atom(term):
+    """(v, 0, c) for the lower bound (<= c v), (v, 1, c) for the upper bound
+    (<= v c), and None for any other term."""
+    if isinstance(term, tuple) and len(term) == 3 and term[0] == "<=":
+        if isinstance(term[1], int) and isinstance(term[2], str):
+            return term[2], 0, term[1]
+        if isinstance(term[1], str) and isinstance(term[2], int):
+            return term[1], 1, term[2]
+    return None
+
+
+def expand_lets(term, env):
+    """`term` with each `let` replaced by its body, the bound names
+    substituted; a bound value is shared, not copied, by its uses."""
+    if isinstance(term, str):
+        return env.get(term, term)
+    if not isinstance(term, tuple):
+        return term
+    if term and term[0] == "let":
+        bindings = term[1]
+        inner = dict(env)
+        for name, value in bindings:
+            inner[name] = expand_lets(value, env)
+        return expand_lets(term[2], inner)
+    if term and term[0] == '"':
+        return term
+    return tuple([expand_lets(t, env) for t in term])
+
+
+def show(term) -> str:
+    """`term` in SMT-LIB2 syntax, for error messages."""
+    if isinstance(term, tuple):
+        return "(" + " ".join(map(show, term)) + ")"
+    return str(term)
 
 
 def collect_symbols(term) -> set:

@@ -10,6 +10,7 @@ import pytest
 from glycanrules.minismt import engine as engine_module
 from glycanrules.minismt.engine import Engine, SolverError, Universal, substitute
 from glycanrules.minismt import sexpr
+from glycanrules.minismt.sat import neg
 from glycanrules.minismt.sexpr import CLOSE, OPEN, Reader, SexprError, parse_all
 from glycanrules.minismt.__main__ import expand_lets, serve
 
@@ -477,6 +478,61 @@ def test_a_term_asserted_again_adds_no_variables_or_clauses():
     assert (twice[":vars"], twice[":clauses"]) == (7, 9)
 
 
+@pytest.mark.parametrize("first, second, same", [
+    ("(< a b)", "(<= b a)", False),
+    ("(= a 3)", "(= 3 a)", True),
+    ("(= e f)", "(= f e)", True),
+])
+def test_a_second_spelling_of_an_atom_reuses_its_literal(first, second, same):
+    engine = Engine()
+    engine.declare_enum("E", ["M0", "M1", "M2"])
+    for name, sort in [("a", "Int"), ("b", "Int"), ("e", "E"), ("f", "E")]:
+        engine.declare_fun(name, sort)
+    for name in "ab":
+        engine.assert_term(parse_all(f"(and (<= 0 {name}) (<= {name} 5))")[0])
+    lit = engine._lower(parse_all(first)[0])
+    nvars = engine.sat.nvars
+    again = engine._lower(parse_all(second)[0])
+    assert engine.sat.nvars == nvars
+    assert again == (lit if same else neg(lit))
+
+
+def serve_replies(script: str) -> list[str]:
+    out = io.StringIO()
+    serve(io.StringIO(script), out)
+    return out.getvalue().splitlines()
+
+
+def test_declare_datatypes_with_a_list_missing_is_an_error():
+    replies = serve_replies("""(declare-datatypes ((A 0) (B 0)) (((a1) (a2))))
+(declare-fun b () B)
+(exit)
+""")
+    assert replies[0] == (
+        '(error "declare-datatypes names 2 sorts but gives 1 constructor lists")'
+    )
+    assert replies[1] == """(error "unsupported sort 'B'")"""
+
+
+@pytest.mark.parametrize("term, odd", [("(= x e)", "e"), ("(= x p)", "p"),
+                                       ("(= p x)", "p"), ("(= M0 x)", "x")])
+def test_equality_across_sorts_names_the_odd_operand(term, odd):
+    replies = serve_replies(f"""(declare-datatypes ((E 0)) (((M0) (M1))))
+(declare-fun x () Int)
+(declare-fun p () Bool)
+(assert (and (<= 0 x) (<= x 2)))
+(assert {term})
+(check-sat)
+(exit)
+""")
+    typed = "M0" if odd == "x" else "x"
+    assert replies == [
+        f"(error \"sort mismatch in {term}: '{odd}' does not have"
+        f" the sort of '{typed}'\")",
+        "sat",
+    ]
+
+
 @pytest.mark.parametrize("trial", range(37))
 def test_cluster_lowering_agrees_with_order_encoding(trial):
     """Ints compared only with each other, as a molecule's timestamps are,
@@ -570,6 +626,25 @@ def test_mbqi_universal_over_enum():
     )
     # with two members, (= u e) cannot hold for both, so p must be true
     assert out == ["sat", "((p true))"]
+
+
+def test_let_that_shadows_a_bound_variable_is_expanded_before_instances():
+    """(let ((u 2)) ...) in a universal's body binds a new u: an instance
+    substitutes the bound u only outside it."""
+    universal = "(forall ((u Int)) (=> (and (<= 0 u) (<= u 3)) {}))"
+    script = """(declare-fun x () Int)
+(assert (and (<= 0 x) (<= x 3)))
+(assert {})
+(check-sat)
+(get-value (x))
+"""
+    with_let = statistics_of(script.format(
+        universal.format("(or (= u 0) (let ((u 2)) (< u x)))")))
+    expanded = statistics_of(script.format(universal.format("(or (= u 0) (< 2 x))")))
+    assert with_let == expanded
+    assert with_let[":mbqi-rounds"] > 0
+    assert serve_replies(script.format(universal.format(
+        "(or (= u 0) (let ((u 2)) (< u x)))")))[-2:] == ["sat", "((x 3))"]
 
 
 def test_mbqi_universal_unsat():
