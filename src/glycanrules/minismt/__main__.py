@@ -12,10 +12,20 @@ An assertion goes to `Engine.assert_term` as parsed, with no copy: the
 engine expands a `let` where it meets one and lowers every term through its
 one term-to-literal table, `Engine.lowered`.  One process serves one session
 on stdin/stdout.
+
+`main`, which the bundled child, `python -m glycanrules.minismt` and the
+`glycanrules-solver` script all run, switches the cyclic garbage collector
+off before it serves.  A session builds no reference cycles, error replies
+included, so the collector would find nothing; but the clause lists,
+literal tables and parse trees it allocates would trigger a generation-0
+pass every 700 allocations, each one walking the young containers.
+Reference counting still frees everything.  `serve` leaves the collector
+as it is, for callers in a process of their own.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 # `expand_lets` stays importable from here, where perfbench/spans.py patches
@@ -140,6 +150,7 @@ def serve(inp, out) -> int:
 
 
 def main() -> int:
+    gc.disable()
     return serve(sys.stdin, sys.stdout)
 
 

@@ -12,7 +12,10 @@ full biconditional (Tseitin) definition, usable in either polarity.  One
 table per engine, `Engine.lowered`, maps each term (Bool name, `true`,
 `false`, atom or compound) to its literal, so a subterm that recurs, in one
 assertion, a later one or an MBQI instance, is defined once; each sub-engine
-keeps a table of its own.  Two spellings of one atom share a literal:
+keeps a table of its own.  An and/or gate is built from its children's
+literals (`_gate`), each child looked up in the table before it is lowered;
+`(=> a ... b)` is the or gate of the literals of `(not a) ... b`.  Two
+spellings of one atom share a literal:
 `(<= a b)` is lowered as `(not (< b a))`, `(= 3 x)` as `(= x 3)`, and an
 enum `(= b a)` reuses the literal of `(= a b)`.  Assertions are lowered as
 parsed: a `let` is expanded where one occurs, at the top of an assertion,
@@ -23,7 +26,9 @@ against every universal by a dedicated sub-engine solving for a violating
 instantiation.  One round lowers the instances of all the witnesses found,
 adds their clauses to the model with `Solver.add_model_clauses`, and resumes
 the search from the trail they leave standing; rounds repeat until no
-universal is violated (finite domains guarantee termination).
+universal is violated (finite domains guarantee termination).  A `:timeout`
+is tested before each main solve, each violation sub-solve and each
+instance lowered, and after each conflict.
 """
 
 from __future__ import annotations
@@ -274,40 +279,14 @@ class Engine:
         elif head == "not":
             lit = neg(self._lower(term[1]))
         elif head in ("and", "or"):
-            args = [self._lower(t) for t in term[1:]]
-            if head == "and":
-                args = [a for a in args if a != self.sat.true_lit]
-                if any(a == neg(self.sat.true_lit) for a in args):
-                    lit = neg(self.sat.true_lit)
-                elif not args:
-                    lit = self.sat.true_lit
-                elif len(args) == 1:
-                    lit = args[0]
-                else:
-                    v = 2 * self.sat.new_var()
-                    for a in args:
-                        self.add_clause([neg(v), a])
-                    self.add_clause([v] + [neg(a) for a in args])
-                    lit = v
-            else:
-                args = [a for a in args if a != neg(self.sat.true_lit)]
-                if any(a == self.sat.true_lit for a in args):
-                    lit = self.sat.true_lit
-                elif not args:
-                    lit = neg(self.sat.true_lit)
-                elif len(args) == 1:
-                    lit = args[0]
-                else:
-                    v = 2 * self.sat.new_var()
-                    for a in args:
-                        self.add_clause([neg(a), v])
-                    self.add_clause([neg(v)] + list(args))
-                    lit = v
+            lit = self._gate(head, self._lower_all(term[1:]))
         elif head == "=>":
-            # right-associative chain
-            args = term[1:]
-            rewritten = ("or",) + tuple(("not", a) for a in args[:-1]) + (args[-1],)
-            lit = self._lower(rewritten)
+            # right-associative chain: (or (not a) ... b), built from the
+            # literals of its children
+            args = self._lower_all(term[1:])
+            for i in range(len(args) - 1):
+                args[i] ^= 1
+            lit = self._gate("or", args)
         elif head == "<":
             lit = self._atom_int_lt(term[1], term[2])
         elif head == "<=":
@@ -351,6 +330,41 @@ class Engine:
         else:
             raise SolverError(f"unsupported operator {head!r}")
         return lit
+
+    def _lower_all(self, terms) -> list:
+        """The literals of `terms`, each looked up before it is lowered."""
+        lowered = self.lowered
+        lits = []
+        for t in terms:
+            lit = lowered.get(t)
+            if lit is None:
+                lit = lowered[t] = self._define(t)
+            lits.append(lit)
+        return lits
+
+    def _gate(self, head, args) -> int:
+        """Literal of the and/or of the literals `args`, after adding its
+        Tseitin definition.  Constants fold, and one argument is its own
+        literal."""
+        unit = self.sat.true_lit if head == "and" else self.sat.true_lit ^ 1
+        args = [a for a in args if a != unit]
+        if unit ^ 1 in args:
+            return unit ^ 1
+        if not args:
+            return unit
+        if len(args) == 1:
+            return args[0]
+        v = 2 * self.sat.new_var()
+        add_clause = self.add_clause
+        if head == "and":
+            for a in args:
+                add_clause([v ^ 1, a])
+            add_clause([v] + [a ^ 1 for a in args])
+        else:
+            for a in args:
+                add_clause([a ^ 1, v])
+            add_clause([v ^ 1] + args)
+        return v
 
     # ------------- assertions -------------
 
@@ -454,34 +468,43 @@ class Engine:
             if not found:
                 self.model_vals = snapshot
                 return "sat"
+            clauses = self._lower_instances(found, deadline)
+            if clauses is None:
+                return "unknown"
             self.mbqi_rounds += 1
             self.instances += len(found)
-            self.sat.add_model_clauses(self._lower_instances(found))
+            self.sat.add_model_clauses(clauses)
             rounds += 1
             if rounds >= MAX_MBQI_ROUNDS:
                 return "unknown"
 
-    def _lower_instances(self, found) -> list:
-        """Clauses of the instances (universal, witness) in `found`.
+    def _lower_instances(self, found, deadline=None):
+        """Clauses of the instances (universal, witness) in `found`, or None
+        if `deadline` passes before the last one is lowered.
 
         Lowering buffers its clauses instead of adding them, so that
         `Solver.add_model_clauses` can add them all to the current model.
         """
         clauses = []
         self.add_clause = clauses.append
+        complete = False
         try:
             for uni, wit in found:
+                if deadline is not None and time.monotonic() >= deadline:
+                    break
                 clauses.append([self._lower(substitute(uni.body, wit))])
-        except SolverError:
-            # `self.lowered` keeps the literals defined so far; their
-            # definitions, and the instances, which the universals imply,
-            # must reach the solver
-            for lits in clauses:
-                self.sat.add_clause(lits)
-            raise
+            else:
+                complete = True
         finally:
             self.add_clause = self.sat.add_clause
-        return clauses
+            if not complete:
+                # cut short by the deadline or a `SolverError`: `self.lowered`
+                # keeps the literals defined so far; their definitions, and
+                # the instances, which the universals imply, must reach the
+                # solver
+                for lits in clauses:
+                    self.sat.add_clause(lits)
+        return clauses if complete else None
 
     def _find_violation(self, uni: Universal, snapshot, deadline):
         if uni.sub is None:
@@ -609,7 +632,10 @@ def range_atom(term):
 
 def expand_lets(term, env):
     """`term` with each `let` replaced by its body, the bound names
-    substituted; a bound value is shared, not copied, by its uses."""
+    substituted; a bound value is shared, not copied, by its uses.  A
+    `forall` binder shadows an outer `let` name of its own; a `let` value
+    that names one of its bound variables is an error, since the binder
+    would capture it."""
     if isinstance(term, str):
         return env.get(term, term)
     if not isinstance(term, tuple):
@@ -620,6 +646,13 @@ def expand_lets(term, env):
         for name, value in bindings:
             inner[name] = expand_lets(value, env)
         return expand_lets(term[2], inner)
+    if term and term[0] == "forall" and env:
+        # a bound variable shadows an outer `let` name of its own
+        bound = {b[0] for b in term[1] if isinstance(b, tuple) and b}
+        inner = {k: v for k, v in env.items() if k not in bound}
+        if any(bound & collect_symbols(v) for v in inner.values()):
+            raise SolverError("a let value under forall names one of its bound variables")
+        return (term[0], term[1]) + tuple([expand_lets(t, inner) for t in term[2:]])
     if term and term[0] == '"':
         return term
     return tuple([expand_lets(t, env) for t in term])

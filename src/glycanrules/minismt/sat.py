@@ -2,13 +2,16 @@
 
 Literals are ints: variable v (0-based) gives 2*v for the positive literal and
 2*v+1 for the negative one.  There are two ways in for clauses.  `add_clause`
-backtracks to decision level 0, which drops any model on the trail; the engine
-uses it for assertions.  `add_model_clauses` adds a batch to the model `solve`
-just found and keeps the part of its trail the batch allows, for
-`solve(resume=True)` to search on from; the engine uses it for each MBQI
-round's instances.  A one-literal clause added that way above level 0 is
-asserted at the current level and again after every backjump below it, until
-the search is back at level 0.  `solve` accepts
+backtracks to decision level 0 if the trail has any decision, which drops any
+model on it; the engine uses it for assertions.  `add_model_clauses` adds a
+batch to the model `solve` just found and keeps the part of its trail the
+batch allows, for `solve(resume=True)` to search on from; the engine uses it
+for each MBQI round's instances.  A one-literal clause added that way above
+level 0 is asserted at the current level and again after every backjump
+below it, until the search is back at level 0.  Both ways normalise a clause
+in one scan over its literals: a literal's level is read only if it has a
+value, and repeats and tautologies are found in the short output list.
+`solve` accepts
 assumption literals that are decided first; only the engine's violation
 sub-solvers use them, to fix a universal's free variables to the candidate
 model's values, and the main solver is called without any.  All heuristics
@@ -137,7 +140,8 @@ class Solver:
 
         Returns False if the solver became unsat at level 0.
         """
-        self._cancel_until(0)
+        if self.trail_lim:
+            self._cancel_until(0)
         if not self.ok:
             return False
         out = self._normalised(lits)
@@ -173,15 +177,18 @@ class Solver:
         """`lits` without repeats and literals false at level 0; None if the
         clause is true at level 0 or a tautology."""
         litval, level = self.litval, self.level
-        seen = set()
         out = []
         for lit in lits:
-            fixed = level[lit >> 1] == 0
-            if (fixed and litval[lit] == 1) or lit ^ 1 in seen:
-                return None
-            if (fixed and litval[lit] == -1) or lit in seen:
+            val = litval[lit]
+            if val and level[lit >> 1] == 0:
+                if val == 1:
+                    return None
                 continue
-            seen.add(lit)
+            # clauses are short: a list scan beats building a set
+            if lit in out:
+                continue
+            if lit ^ 1 in out:
+                return None
             out.append(lit)
         return out
 

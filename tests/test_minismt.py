@@ -478,6 +478,25 @@ def test_a_term_asserted_again_adds_no_variables_or_clauses():
     assert (twice[":vars"], twice[":clauses"]) == (7, 9)
 
 
+def test_an_implication_lowers_as_its_disjunction():
+    """(=> p q r) is lowered from its children's literals to the same gate
+    as (or (not p) (not q) r): one variable and four clauses."""
+    decls = "".join(f"(declare-fun {v} () Bool)\n" for v in "pqr")
+    implication = "(assert (=> p q r))\n"
+    disjunction = "(assert (or (not p) (not q) r))\n"
+    for term in (implication, disjunction):
+        stats = statistics_of(decls + term)
+        assert (stats[":vars"], stats[":clauses"]) == (5, 4)
+    for values in itertools.product((True, False), repeat=3):
+        fixed = "".join(f"(assert {v})\n" if on else f"(assert (not {v}))\n"
+                        for v, on in zip("pqr", values))
+        answers = [serve_replies(decls + term + fixed + "(check-sat)\n")
+                   for term in (implication, disjunction)]
+        p, q, r = values
+        expected = "sat" if not (p and q) or r else "unsat"
+        assert answers == [[expected], [expected]]
+
+
 @pytest.mark.parametrize("first, second, same", [
     ("(< a b)", "(<= b a)", False),
     ("(= a 3)", "(= 3 a)", True),
@@ -647,6 +666,21 @@ def test_let_that_shadows_a_bound_variable_is_expanded_before_instances():
         "(or (= u 0) (let ((u 2)) (< u x)))")))[-2:] == ["sat", "((x 3))"]
 
 
+def test_forall_binder_shadows_an_outer_let_name():
+    """The bound u is not the let's u: the universal forces y to 3."""
+    script = """(declare-fun y () Int)
+(assert (and (<= 0 y) (<= y 3)))
+(assert (let ((u 1)) (forall ((u Int)) (=> (and (<= 0 u) (<= u 3)) (<= u y)))))
+(check-sat)
+(get-value (y))
+"""
+    assert serve_replies(script) == ["sat", "((y 3))"]
+    # a let value that names the bound variable would be captured by it
+    captured = script.replace("((u 1))", "((w u))").replace("(<= u y)", "(<= w y)")
+    assert serve_replies(captured)[0] == (
+        '(error "a let value under forall names one of its bound variables")')
+
+
 def test_mbqi_universal_unsat():
     out = run_solver(
         """(set-option :print-success true)
@@ -716,6 +750,36 @@ def test_passed_deadline_answers_unknown_before_a_violation_solve(monkeypatch):
     assert engine.check_sat() == "sat"
 
 
+def test_passed_deadline_answers_unknown_between_instances(monkeypatch):
+    """The deadline passes while a round's first instance is lowered: the
+    second is not lowered, and the first reaches the solver."""
+    engine = Engine()
+    for name in ("x", "y"):
+        engine.declare_fun(name, "Int")
+        engine.assert_term(parse_all(f"(and (<= 0 {name}) (<= {name} 3))")[0])
+        engine.assert_term(parse_all(
+            f"(forall ((u Int)) (=> (and (<= 0 u) (<= u 3)) (<= u {name})))")[0])
+    clock = [0.0]
+    monkeypatch.setattr(engine_module.time, "monotonic", lambda: clock[0])
+    substitute_now = engine_module.substitute
+    lowered = []
+
+    def substitute_past_the_deadline(term, mapping):
+        lowered.append(term)
+        clock[0] = 10.0
+        return substitute_now(term, mapping)
+
+    monkeypatch.setattr(engine_module, "substitute", substitute_past_the_deadline)
+    assert engine.check_sat(timeout_ms=1000) == "unknown"
+    assert len(lowered) == 1 and engine.mbqi_rounds == 0
+    # x is 0 in the first model; the instance (<= u x), with u the witness
+    # above 0, makes (<= x 0) false in the solver for good
+    x_le_0 = engine._order_bit("x", 0)
+    assert engine.sat.litval[x_le_0] == -1 and engine.sat.level[x_le_0 >> 1] == 0
+    assert engine.check_sat() == "sat"
+    assert engine.get_values(["x", "y"]) == [("x", 3), ("y", 3)]
+
+
 def test_substitute_leaves_no_reference_cycles():
     term = ("and", ("=", "x", "y"), ("or", ("not", "b"), ("<=", "x", 3)))
     assert substitute(term, {"x": 2, "b": "true"}) == (
@@ -767,6 +831,43 @@ def test_all_statistics_repeat_on_a_replayed_transcript(dataset_dir, tmp_path):
         ":resumed-solves": 2, ":mbqi-rounds": 2, ":instances": 2,
         ":violation-solves": 3,
     }
+
+
+def test_served_sessions_leave_no_reference_cycles(dataset_dir, tmp_path):
+    """The solver child runs with the cyclic collector off: serving a
+    synthesis transcript, and scripts that end in error replies, must leave
+    nothing for it to collect."""
+    from glycanrules.backend import default_solver_config
+    from glycanrules.driver import Budgets, SynthesisJob, synthesize
+    from glycanrules.grammar import parse_dataset
+
+    data = parse_dataset((dataset_dir / "compartments_pair.gly").read_text())
+    job = SynthesisJob(data, Budgets(3, 2, compartments=2),
+                       solver=default_solver_config(dump_dir=str(tmp_path)))
+    assert synthesize(job).status == "Synthesized"
+    transcripts = [path.read_text() for path in sorted(tmp_path.glob("query_*.smt2"))]
+    failing = [
+        "(push 1)\n(assert (and p\n",
+        "(declare-fun x () Int)\n(assert (< x 3))\n(get-value (x))\n",
+        "(declare-fun p () Bool)\n(assert (=> p (* p 2)))\n(assert (= p 1))\n",
+        "(declare-datatypes ((A 0) (B 0)) (((a1) (a2))))\n(set-option :timeout x)\n",
+        "(declare-fun x () Int)\n(assert (and (<= 0 x) (<= x 3)))\n"
+        "(assert (forall ((u Int)) (=> (and (<= 0 u) (<= u 3)) (<= u (+ x 1)))))\n"
+        "(check-sat)\n",
+        "(declare-fun y () Int)\n"
+        "(assert (let ((w u)) (forall ((u Int)) (=> (<= u 3) (<= w y)))))\n",
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        replies = [serve_replies(script) for script in transcripts + failing]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all("sat" in out and not any(r.startswith("(error") for r in out)
+               for out in replies[:len(transcripts)])
+    assert all(any(r.startswith("(error") for r in out)
+               for out in replies[len(transcripts):])
 
 
 MBQI_DOMAINS = {"Bool": (False, True), "E": ("M0", "M1", "M2"), "Int": (0, 1, 2)}
