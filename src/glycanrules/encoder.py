@@ -1,9 +1,10 @@
 """Constraint construction: templates, produce-encodings, variants, decoding.
 
-Terminology used throughout: a *rule side* is either a symbolic template
-(full tree of choice variables) or a concrete Rule wrapped to expose the same
-interface, so the same constraint builders serve the synthesis query
-(concrete molecules vs. rule templates) and the concrete/concrete
+Every rule is encoded as a `RuleTemplate`, a full tree with a choice at each
+position.  The synthesis query's templates choose through solver variables; a
+concrete rule is a template with its choices fixed to constants
+(`ConcreteRuleSide`), which the formula constructors fold.  So the one
+encoder serves both the synthesis query and the concrete/concrete
 equivalence checks.  A *molecule side* is always concrete: the synthesis loop
 encodes the observed molecules and the counterexamples
 `producer.first_extra` returns.
@@ -29,7 +30,7 @@ three:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     ModelError,
@@ -39,7 +40,6 @@ from .core import (
     Rule,
     RuleSet,
     TreeNode,
-    node_at,
     tree_positions,
 )
 from .formula import (
@@ -136,40 +136,31 @@ def full_tree_paths(depth: int, width: int) -> list[Path]:
 
 
 # --------------------------------------------------------------------------
-# rule sides
+# rule templates
 # --------------------------------------------------------------------------
 
 
 class RuleTemplate:
-    """Full tree of depth `depth`/width `width` of choice variables."""
+    """A rule as the full tree of depth `depth`/width `width`, with a choice
+    at every position (its situation and sugar, and below the root whether
+    it is a hard end) and for the whole rule (its compartment and speed).
 
-    def __init__(self, ctx: EncodingContext, index: int, depth: int, width: int):
+    A rule being synthesized chooses through solver variables
+    (`make_rule_templates`).  A concrete rule is a template with its choices
+    fixed (`ConcreteRuleSide`): members, Booleans and an int, which the
+    formula constructors fold.  A position with no hard end choice is missing
+    from `hard_end`; `fast` is None when speeds are not modeled."""
+
+    def __init__(self, depth: int, width: int, situation: dict, sugar: dict,
+                 hard_end: dict, compartment, fast):
         self.depth = depth
         self.width = width
-        self.paths = full_tree_paths(depth, width)
-        reg = ctx.registry
-        tag = f"t{index}"
-        self.sugar = {
-            p: reg.make(f"{tag}_nu_{_ptag(p)}", ctx.sugar_sort) for p in self.paths
-        }
-        self.situation = {
-            p: reg.make(f"{tag}_kappa_{_ptag(p)}", ctx.situation_sort)
-            for p in self.paths
-        }
-        self.compartment = reg.make(f"{tag}_comp", IntSort(1, ctx.compartments))
-        self.fast = (
-            reg.make(f"{tag}_fast", BOOL) if ctx.variants.fast_slow else None
-        )
-        if ctx.variants.hard_ends:
-            self.hard_end = {
-                p: reg.make(f"{tag}_he_{_ptag(p)}", BOOL)
-                for p in self.paths
-                if p != ()
-            }
-        else:
-            self.hard_end = {}
-
-    # --- the generic rule-side interface ---
+        self.paths = list(situation)  # the full tree's positions, preorder
+        self.situation = situation
+        self.sugar = sugar
+        self.hard_end = hard_end
+        self.compartment = compartment
+        self.fast = fast
 
     def exists(self, path: Path) -> bool:
         return len(path) <= self.depth and all(1 <= s <= self.width for s in path)
@@ -177,21 +168,11 @@ class RuleTemplate:
     def child_slots(self, path: Path) -> int:
         return self.width if len(path) < self.depth else 0
 
-    def label_op(self, path: Path):
-        return self.sugar[path]
-
-    def kappa_is(self, path: Path, member: str) -> Formula:
-        return enum_is(self.situation[path], member)
-
     def hard_end_f(self, path: Path) -> Formula:
-        var = self.hard_end.get(path)
-        return bool_ref(var) if var is not None else FALSE
-
-    def compartment_op(self):
-        return self.compartment
+        return _fold(self.hard_end.get(path))
 
     def fast_f(self) -> Formula:
-        return bool_ref(self.fast) if self.fast is not None else FALSE
+        return _fold(self.fast)
 
     def ell_range(self):
         return range(1, self.depth)
@@ -210,62 +191,53 @@ class RuleTemplate:
         return out
 
 
-class ConcreteRuleSide:
-    """A concrete Rule wrapped as a rule side; every choice folds."""
+def _fold(choice) -> Formula:
+    """A Boolean choice as a formula: the variable's reference, or the
+    constant it is fixed to (no choice at all is false)."""
+    if isinstance(choice, Var):
+        return bool_ref(choice)
+    return TRUE if choice else FALSE
 
-    def __init__(self, ctx: EncodingContext, rule: Rule):
-        self.ctx = ctx
-        self.rule = rule
-        self._hard_paths = {parent + (slot,) for parent, slot in rule.hard_ends}
 
-    def exists(self, path: Path) -> bool:
-        if node_at(self.rule.root, path) is not None:
-            return True
-        return path in self._hard_paths
+def _variable_template(ctx: EncodingContext, index: int, depth: int,
+                       width: int) -> RuleTemplate:
+    """Template `index` of a synthesis query: every choice a fresh variable."""
+    paths = full_tree_paths(depth, width)
+    reg = ctx.registry
+    tag = f"t{index}"
+    sugar = {p: reg.make(f"{tag}_nu_{_ptag(p)}", ctx.sugar_sort) for p in paths}
+    situation = {
+        p: reg.make(f"{tag}_kappa_{_ptag(p)}", ctx.situation_sort) for p in paths
+    }
+    compartment = reg.make(f"{tag}_comp", IntSort(1, ctx.compartments))
+    fast = reg.make(f"{tag}_fast", BOOL) if ctx.variants.fast_slow else None
+    hard_end = {}
+    if ctx.variants.hard_ends:
+        hard_end = {p: reg.make(f"{tag}_he_{_ptag(p)}", BOOL) for p in paths if p}
+    return RuleTemplate(depth, width, situation, sugar, hard_end, compartment, fast)
 
-    def child_slots(self, path: Path) -> int:
-        node = node_at(self.rule.root, path)
-        slots = len(node.children) if node is not None else 0
-        for hp in self._hard_paths:
-            if hp[:-1] == path:
-                slots = max(slots, hp[-1])
-        return slots
 
-    def _node(self, path: Path):
-        return node_at(self.rule.root, path)
+_SITUATION_MEMBER = {"match": K_MATCH, "matchans": K_MATCH_ANS, "expand": K_EXPAND}
 
-    def label_op(self, path: Path):
-        node = self._node(path)
-        if node is None:
-            return NONE_SUGAR
-        return self.ctx.sugar_member(node.label)
 
-    def kappa_is(self, path: Path, member: str) -> Formula:
-        if self._node(path) is None:
-            actual = K_ABSENT
+def ConcreteRuleSide(ctx: EncodingContext, rule: Rule) -> RuleTemplate:
+    """`rule` as a template with its choices fixed, no larger than the rule
+    needs: deep enough for its nodes and hard ends and for its expansion root
+    to sit above the leaves (`ell_range`), as wide as its widest node or hard
+    slot.  Every position where the rule has no node is absent."""
+    nodes = dict(tree_positions(rule.root))
+    hard = [parent + (slot,) for parent, slot in rule.hard_ends]
+    depth = max([len(p) for p in [*nodes, *hard]] + [rule.expand_depth + 1])
+    width = max([len(n.children) for n in nodes.values()] + [p[-1] for p in hard])
+    situation, sugar = {}, {}
+    for p in full_tree_paths(depth, width):
+        if p in nodes:
+            situation[p] = _SITUATION_MEMBER[rule.situation(p)]
+            sugar[p] = ctx.sugar_member(nodes[p].label)
         else:
-            situation = self.rule.situation(path)
-            actual = {
-                "match": K_MATCH,
-                "matchans": K_MATCH_ANS,
-                "expand": K_EXPAND,
-            }[situation]
-        return TRUE if actual == member else FALSE
-
-    def hard_end_f(self, path: Path) -> Formula:
-        return TRUE if path in self._hard_paths else FALSE
-
-    def compartment_op(self):
-        return self.rule.compartment
-
-    def fast_f(self) -> Formula:
-        return TRUE if self.rule.fast else FALSE
-
-    def ell_range(self):
-        return (self.rule.expand_depth,)
-
-
-RuleSide = Union[RuleTemplate, ConcreteRuleSide]
+            situation[p], sugar[p] = K_ABSENT, NONE_SUGAR
+    return RuleTemplate(depth, width, situation, sugar, dict.fromkeys(hard, True),
+                        rule.compartment, rule.fast)
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +330,7 @@ class ProduceEncoder:
 
     # -- time-order side conditions --
 
-    def _before(self, path: Path, mark, rule: RuleSide,
+    def _before(self, path: Path, mark, rule: RuleTemplate,
                 stage_exact: bool = False) -> Formula:
         """Node at `path` was present when the piece stamped `mark` landed.
 
@@ -373,10 +345,10 @@ class ProduceEncoder:
             comp = self.prod.comp[path]
             return disj(
                 [
-                    int_lt(comp, rule.compartment_op()),
+                    int_lt(comp, rule.compartment),
                     conj(
                         [
-                            int_eq(comp, rule.compartment_op()),
+                            int_eq(comp, rule.compartment),
                             int_lt(self.prod.tau[path], mark),
                         ]
                     ),
@@ -384,10 +356,10 @@ class ProduceEncoder:
             )
         parts = [int_lt(self.prod.tau[path], mark)]
         if self.k > 1:
-            parts.append(int_le(self.prod.comp[path], rule.compartment_op()))
+            parts.append(int_le(self.prod.comp[path], rule.compartment))
         return conj(parts)
 
-    def _same_step(self, path: Path, mark, rule: RuleSide) -> Formula:
+    def _same_step(self, path: Path, mark, rule: RuleTemplate) -> Formula:
         """Node at `path` belongs to the piece stamped `mark`.
 
         Timestamps are shared exactly across a piece; together with pairwise
@@ -397,10 +369,10 @@ class ProduceEncoder:
         """
         parts = [int_eq(self.prod.tau[path], mark)]
         if self.k > 1:
-            parts.append(int_eq(self.prod.comp[path], rule.compartment_op()))
+            parts.append(int_eq(self.prod.comp[path], rule.compartment))
         return conj(parts)
 
-    def _empty_at(self, path: Path, mark, rule: RuleSide) -> Formula:
+    def _empty_at(self, path: Path, mark, rule: RuleTemplate) -> Formula:
         """The position is unoccupied at the stage-consistent time `mark`;
         at FINISHED, exactly when the molecule has no node there."""
         if not self.mol.exists(path):
@@ -412,27 +384,27 @@ class ProduceEncoder:
             comp = self.prod.comp[path]
             later = disj(
                 [
-                    int_lt(rule.compartment_op(), comp),
-                    conj([int_eq(comp, rule.compartment_op()), later]),
+                    int_lt(rule.compartment, comp),
+                    conj([int_eq(comp, rule.compartment), later]),
                 ]
             )
         return later
 
     # -- MatchTree --
 
-    def match_tree(self, mpath: Path, rule: RuleSide, rpath: Path, mark,
+    def match_tree(self, mpath: Path, rule: RuleTemplate, rpath: Path, mark,
                    is_expand: bool, stage_exact: bool = False) -> Formula:
         if not rule.exists(rpath):
             return TRUE
         if not self.mol.exists(mpath):
-            return rule.kappa_is(rpath, K_ABSENT)
+            return enum_is(rule.situation[rpath], K_ABSENT)
         if is_expand:
             tcons = self._same_step(mpath, mark, rule)
         else:
             tcons = self._before(mpath, mark, rule, stage_exact)
         core = implies(
-            not_(rule.kappa_is(rpath, K_ABSENT)),
-            conj([tcons, enum_is(rule.label_op(rpath), self.mol.label_op(mpath))]),
+            not_(enum_is(rule.situation[rpath], K_ABSENT)),
+            conj([tcons, enum_is(rule.sugar[rpath], self.mol.label_op(mpath))]),
         )
         parts = [core]
         hard = rule.hard_end_f(rpath)
@@ -451,14 +423,14 @@ class ProduceEncoder:
 
     # -- MatchCut --
 
-    def match_cut(self, mpath: Path, rule: RuleSide, rpath: Path,
+    def match_cut(self, mpath: Path, rule: RuleTemplate, rpath: Path,
                   parent_not_absent: Formula) -> Formula:
         if not self.mol.exists(mpath):
             return TRUE
         cuts = bool_ref(self.prod.cuts[mpath])
         if not rule.exists(rpath):
             return implies(parent_not_absent, cuts)
-        absent = rule.kappa_is(rpath, K_ABSENT)
+        absent = enum_is(rule.situation[rpath], K_ABSENT)
         parts = [implies(parent_not_absent, iff(absent, cuts))]
         for j in range(1, self.mol.slots(mpath) + 1):
             parts.append(
@@ -468,7 +440,7 @@ class ProduceEncoder:
 
     # -- EncodeP --
 
-    def encode_p(self, vpath: Path, rule: RuleSide, ell: int,
+    def encode_p(self, vpath: Path, rule: RuleTemplate, ell: int,
                  block_at=None) -> Formula:
         """Rule applied with its expansion root landing at `vpath`, the rule
         root aligned `ell` levels up.  The mark the pattern is matched at is
@@ -490,8 +462,8 @@ class ProduceEncoder:
         rpos: Path = ()
         for i in range(ell, 0, -1):
             apath = vpath[: len(vpath) - i]
-            parts.append(rule.kappa_is(rpos, K_MATCH_ANS))
-            parts.append(enum_is(rule.label_op(rpos), self.mol.label_op(apath)))
+            parts.append(enum_is(rule.situation[rpos], K_MATCH_ANS))
+            parts.append(enum_is(rule.sugar[rpos], self.mol.label_op(apath)))
             parts.append(self._before(apath, mark, rule, stage_exact))
             next_slot = vpath[len(vpath) - i]
             slots = max(self.mol.slots(apath), rule.child_slots(rpos))
@@ -506,7 +478,7 @@ class ProduceEncoder:
             rpos = rpos + (next_slot,)
             if not rule.exists(rpos):
                 return FALSE
-        parts.append(rule.kappa_is(rpos, K_EXPAND))
+        parts.append(enum_is(rule.situation[rpos], K_EXPAND))
         if block_at is None:
             parts.append(self.match_tree(vpath, rule, rpos, mark, True))
             parts.append(self.match_cut(vpath, rule, rpos, FALSE))
@@ -516,8 +488,8 @@ class ProduceEncoder:
 
     # -- fast/slow applicability and dominance --
 
-    def applicable(self, other: RuleSide, mark,
-                   rule: Optional[RuleSide] = None) -> Formula:
+    def applicable(self, other: RuleTemplate, mark,
+                   rule: Optional[RuleTemplate] = None) -> Formula:
         """`other` can extend the molecule as it stands at `mark`: some
         child slot empty then admits its pattern.  `rule` is the slow rule
         stamped `mark`, whose compartment `other` must share; at FINISHED
@@ -536,12 +508,12 @@ class ProduceEncoder:
                     cond = [pattern, empty]
                     if rule is not None and self.k > 1:
                         cond.append(
-                            int_eq(other.compartment_op(), rule.compartment_op())
+                            int_eq(other.compartment, rule.compartment)
                         )
                     sites.append(conj(cond))
         return disj(sites)
 
-    def _dominance_guard(self, rule: RuleSide, mark) -> Formula:
+    def _dominance_guard(self, rule: RuleTemplate, mark) -> Formula:
         """A slow application is legal only when no fast rule of the same
         compartment could extend the molecule state at time `mark`."""
         blockers = [
@@ -607,7 +579,7 @@ def make_rule_templates(ctx: EncodingContext, depth: int, width: int, count: int
                         ) -> list[RuleTemplate]:
     if depth < 2 and count > 0:
         raise ValueError("rule depth must be at least 2")
-    return [RuleTemplate(ctx, i, depth, width) for i in range(count)]
+    return [_variable_template(ctx, i, depth, width) for i in range(count)]
 
 
 def rule_template_correctness(ctx: EncodingContext, templates: list[RuleTemplate]

@@ -2,9 +2,10 @@
 
 Supported fragment: Bool constants, bounded Int constants (a range assertion
 must follow each declaration), enumeration datatypes, the connectives
-and/or/not/=>/=, the integer comparisons < and <=, and universal quantifiers
-over finite-sorted bound variables whose body is (=> <range-guard> <body>).
-That is all the client's emitter writes; any other operator is an error.
+and/or/not/=>/=, the integer comparisons < and <= between Int constants and
+numerals, and universal quantifiers over finite-sorted bound variables whose
+body is (=> <range-guard> <body>).  That is all the client's emitter writes;
+any other operator or operand is an error.
 
 Ground formulas are lowered to CNF over an incremental CDCL core: enums
 one-hot, integers order-encoded, and each compound subterm a literal with a
@@ -171,14 +172,17 @@ class Engine:
 
     def _atom_int_lt(self, a, b) -> int:
         """Literal for a < b with a, b int vars or constants."""
+        for operand in (a, b):
+            if not self._is_int_operand(operand):
+                raise SolverError(
+                    f"{show(operand)!r} is neither a numeral nor a declared Int"
+                )
+            if isinstance(operand, str):
+                self._require_bounds(operand)
         if isinstance(a, int) and isinstance(b, int):
             return self.sat.true_lit if a < b else neg(self.sat.true_lit)
         if a == b:
             return neg(self.sat.true_lit)
-        if isinstance(a, str):
-            self._require_bounds(a)
-        if isinstance(b, str):
-            self._require_bounds(b)
         if isinstance(a, int):
             # a < b  <=>  not (b <= a)
             return neg(self._order_bit(b, a))

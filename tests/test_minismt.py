@@ -552,6 +552,38 @@ def test_equality_across_sorts_names_the_odd_operand(term, odd):
     ]
 
 
+@pytest.mark.parametrize("term, odd", [("(< x (+ y 1))", "(+ y 1)"),
+                                       ("(<= (+ y 1) x)", "(+ y 1)"),
+                                       ("(< x p)", "p")])
+def test_a_comparison_operand_that_is_no_int_is_named(term, odd):
+    replies = serve_replies(f"""(declare-fun x () Int)
+(declare-fun y () Int)
+(declare-fun p () Bool)
+(assert (and (<= 0 x) (<= x 3)))
+(assert (and (<= 0 y) (<= y 3)))
+(assert {term})
+(check-sat)
+(exit)
+""")
+    assert replies == [
+        f"(error \"'{odd}' is neither a numeral nor a declared Int\")", "sat",
+    ]
+
+
+def test_a_comparison_operand_that_is_no_int_is_named_by_a_universal():
+    """A universal's body is lowered at check-sat, so the error surfaces
+    there, on every check."""
+    replies = serve_replies("""(declare-fun x () Int)
+(assert (and (<= 0 x) (<= x 3)))
+(assert (forall ((u Int)) (=> (and (<= 0 u) (<= u 3)) (< u (+ x 1)))))
+(check-sat)
+(check-sat)
+(exit)
+""")
+    error = "(error \"'(+ x 1)' is neither a numeral nor a declared Int\")"
+    assert replies == [error, error]
+
+
 @pytest.mark.parametrize("trial", range(37))
 def test_cluster_lowering_agrees_with_order_encoding(trial):
     """Ints compared only with each other, as a molecule's timestamps are,

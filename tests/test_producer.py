@@ -309,6 +309,7 @@ SEARCH_VARIANTS = [
     (Variants(), 1),
     (Variants(), 2),
     (Variants(fast_slow=True), 1),
+    (Variants(fast_slow=True), 2),
     (Variants(hard_ends=True), 1),
     (Variants(repeat=(1, 2)), 1),
 ]

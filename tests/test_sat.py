@@ -60,6 +60,50 @@ def test_pigeonhole_3_into_2_unsat():
     assert pigeonhole(2).solve() is False
 
 
+def test_pigeonhole_7_into_6_unsat_across_restarts():
+    s = pigeonhole(6)
+    assert s.solve() is False
+    assert s.restarts > 0
+
+
+def random_3cnf(rng, nv, m):
+    return [[2 * v + rng.randint(0, 1) for v in rng.sample(range(nv), 3)]
+            for _ in range(m)]
+
+
+def fresh_solve(nv, clauses):
+    s, _ = make_solver(nv)
+    return all(s.add_clause(cl) for cl in clauses) and s.solve()
+
+
+def test_learned_clause_deletion_keeps_answers():
+    """Deleting learned clauses (`_reduce_db`) between solves loses nothing:
+    a solver that keeps taking clauses answers as a fresh one does, and its
+    models satisfy every clause."""
+    rng = random.Random(4)
+    nv = 150
+    clauses = random_3cnf(rng, nv, 630)
+    s, _ = make_solver(nv)
+    assert all(s.add_clause(cl) for cl in clauses)
+    answers = []
+    got = s.solve()
+    while True:
+        answers.append(got)
+        assert got == fresh_solve(nv, clauses)
+        if not got:
+            break
+        assert all(any(s.value(l >> 1) != bool(l & 1) for l in cl) for cl in clauses)
+        learned = len(s.learned_idx)
+        if len(answers) == 1:
+            assert learned >= 300
+        s._reduce_db()
+        assert len(s.learned_idx) < learned
+        extra = random_3cnf(rng, nv, 20)
+        clauses += extra
+        got = all(s.add_clause(cl) for cl in extra) and s.solve()
+    assert answers[0] and not answers[-1]
+
+
 def test_passed_deadline_stops_the_first_conflict():
     """The deadline is tested at every conflict, not every 256th."""
     s = pigeonhole(4)

@@ -5,10 +5,12 @@ module; this file adds the fast/slow contrast pair (found by oracle search
 over two-rule sets) and the edge semantics around it.
 """
 
+import random
+
 import pytest
 
 from glycanrules import driver
-from glycanrules.core import Rule, RuleSet
+from glycanrules.core import Dataset, Molecule, MonomerAlphabet, Rule, RuleSet
 from glycanrules.driver import (
     Budgets,
     Limits,
@@ -16,6 +18,7 @@ from glycanrules.driver import (
     SYNTHESIZED,
     SynthesisJob,
     brute_force_synth,
+    enumerate_trees,
     synthesize,
 )
 from glycanrules.encoder import Variants
@@ -96,6 +99,29 @@ def test_fast_escape_agrees_with_brute_force(text, monkeypatch):
     assert any(escapes)
     assert outcome.status == brute_force_synth(job).status == SYNTHESIZED
     assert outcome.verification.passed
+
+
+def test_fastslow_two_compartments_agree_with_brute_force():
+    """Fast/slow in two compartments matches stage-exactly: a slow step is
+    blocked only by a fast rule of its own compartment.  On tiny jobs the
+    loop reaches the exhaustive verdict."""
+    rng = random.Random(5300)
+    statuses = set()
+    for _ in range(20):
+        alphabet = MonomerAlphabet([("A", 1), ("B", rng.randint(0, 1))])
+        universe = [Molecule(t) for t in enumerate_trees(alphabet, 2, 1)]
+        data = Dataset(alphabet, tuple(rng.sample(universe, rng.randint(1, 3))))
+        job = SynthesisJob(
+            data, Budgets(rules=rng.randint(1, 2), depth=2, compartments=2),
+            variants=Variants(fast_slow=True),
+            limits=Limits(max_iterations=200, wall_clock_s=60),
+        )
+        got = synthesize(job)
+        assert got.status == brute_force_synth(job).status, data.molecules
+        if got.status == SYNTHESIZED:
+            assert got.verification.passed
+        statuses.add(got.status)
+    assert statuses == {SYNTHESIZED, NO_RULES}
 
 
 def test_variants_off_by_default():
